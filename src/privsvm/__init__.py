@@ -62,7 +62,6 @@ from .mechanisms import (
     optimal_dp_upper_bound_hinge,
     train_private_finite,
     train_private_rff,
-    train_svm,
 )
 from .model_io import load_model, save_model
 from .noise import erlang_tail_probability, sample_laplace
@@ -76,9 +75,8 @@ from .rff import (
 from .solver import (
     ConvergenceError,
     SvmModel,
-    dual_decision,
+    decision_values,
     kkt_residual,
-    primal_decision,
     primal_weights,
     solve_svm_dual,
 )

@@ -28,7 +28,7 @@ from .kernels import (
     spectral_second_moment,
 )
 from .mechanisms import RBF_SIGMA_CEILING, train_private_rff
-from .solver import decision_values, solve_svm_dual
+from .solver import decision_values, primal_weights, solve_svm_dual
 
 __all__ = [
     "mix64",
@@ -232,11 +232,6 @@ def sup_norm_distance(f, g, box: DomainBox, grid_resolution: int) -> float:
     return worst
 
 
-def _linear_weights(db: Database, C: float) -> np.ndarray:
-    model = solve_svm_dual(db, linear_kernel(), C)
-    return db.points.T @ (model.alphas * db.labels)
-
-
 def sensitivity_audit(
     trials: int, n: int, C: float, box: DomainBox, seed: int
 ) -> AuditReport:
@@ -265,7 +260,8 @@ def sensitivity_audit(
             int(rng.integers(0, 2) * 2 - 1),
         )
         neighbor = neighbor_replace_last(db, replacement)
-        diff = _linear_weights(db, C) - _linear_weights(neighbor, C)
+        diff = (primal_weights(solve_svm_dual(db, linear_kernel(), C))
+                - primal_weights(solve_svm_dual(neighbor, linear_kernel(), C)))
         worst = max(worst, float(np.abs(diff).sum()))
     kappa = box.max_l2_norm()
     bound = 4.0 * C * kappa * math.sqrt(d) / n
@@ -317,7 +313,7 @@ def utility_audit(
     hinge_violation = 0.0
 
     if params.mechanism == "finite":
-        w_ref = _linear_weights(db, params.C)
+        w_ref = primal_weights(solve_svm_dual(db, linear_kernel(), params.C))
         ref_vals = eval_points @ w_ref
         ref_hinge = _mean_hinge(y * (db.points @ w_ref))
         for t in range(trials):
@@ -470,7 +466,7 @@ def privacy_ratio_audit(
     d = db1.dim
     samples = []
     for which, db in enumerate((db1, db2)):
-        w = _linear_weights(db, params.C)
+        w = primal_weights(solve_svm_dual(db, linear_kernel(), params.C))
         # solver output is deterministic; only the noise varies across trials
         noise = _mechanisms._draw_noise(
             params.lam, trials * d, child_rng(seed, which)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import mechanisms, model_io
-from .data import DomainBox, bounding_box, load_csv
+from .data import DomainBox, bounding_box, load_csv, read_rows, split_labels
 from .kernels import KernelSpec, spectral_second_moment
 from .solver import SvmModel, decision_values, solve_svm_dual
 
@@ -133,7 +133,11 @@ def _cmd_bounds(args) -> int:
 def _cmd_predict(args) -> int:
     model = model_io.load_model(args.model)
     dim = model.support.dim if isinstance(model, SvmModel) else model.dim
-    rows = _load_feature_rows(args.data, dim, args.header)
+    rows, line_numbers = read_rows(args.data, args.header)
+    if not len(rows):
+        raise ValueError("no data rows to predict on")
+    if rows.shape[1] == dim + 1:
+        rows, _ = split_labels(rows, line_numbers)
     if isinstance(model, SvmModel):
         values = decision_values(model, rows)
     else:
@@ -143,35 +147,6 @@ def _cmd_predict(args) -> int:
         sign = 1 if v >= 0 else -1
         print(f"{v!r} {sign:+d}")
     return 0
-
-
-def _load_feature_rows(path, dim: int, has_header: bool) -> np.ndarray:
-    """Rows of `dim` features; a trailing -1/+1 column is accepted and ignored."""
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    rows = []
-    header_pending = has_header
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if header_pending:
-            header_pending = False
-            continue
-        tokens = [tok.strip() for tok in line.split(",")]
-        try:
-            values = [float(tok) for tok in tokens]
-        except ValueError as exc:
-            raise ValueError(f"row {lineno}: {exc}") from None
-        if len(values) == dim + 1 and values[-1] in (-1.0, 1.0):
-            values = values[:-1]
-        if len(values) != dim:
-            raise ValueError(
-                f"row {lineno}: expected {dim} features, got {len(values)}"
-            )
-        rows.append(values)
-    if not rows:
-        raise ValueError("no data rows to predict on")
-    return np.asarray(rows, dtype=np.float64)
 
 
 def _cmd_audit(args) -> int:

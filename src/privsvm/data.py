@@ -14,6 +14,8 @@ __all__ = [
     "Example",
     "Database",
     "DomainBox",
+    "read_rows",
+    "split_labels",
     "load_csv",
     "to_csv",
     "neighbor_replace_last",
@@ -174,11 +176,13 @@ def _read_text(source) -> str:
     raise TypeError("source must be a path, bytes, text, or a readable stream")
 
 
-def load_csv(source, has_header: bool = False) -> Database:
-    """Parse comma-separated rows of d real features followed by a -1/+1 label.
+def read_rows(source, has_header: bool = False) -> tuple[np.ndarray, list[int]]:
+    """Parse comma-separated rows of reals into an (m, width) matrix.
 
     Accepts a path, bytes, text, or a readable stream; UTF-8 with LF or CRLF
-    endings. When `has_header` is set the first row is skipped.
+    endings. Blank rows are skipped, and so is the first row when
+    `has_header` is set. Returns the matrix and each row's line number; every
+    row must have the first row's width.
     """
     text = _read_text(source)
     rows = []
@@ -191,28 +195,44 @@ def load_csv(source, has_header: bool = False) -> Database:
     if has_header and rows:
         rows = rows[1:]
         line_numbers = line_numbers[1:]
-    if len(rows) <= 1:
-        raise CsvError("dataset must contain more than one data row")
-
-    width = len(rows[0])
-    if width < 2:
-        raise CsvError(f"row {line_numbers[0]}: need at least one feature and a label")
-    points = np.empty((len(rows), width - 1))
-    labels = np.empty(len(rows))
+    width = len(rows[0]) if rows else 0
+    values = np.empty((len(rows), width))
     for r, (row, lineno) in enumerate(zip(rows, line_numbers)):
         if len(row) != width:
             raise CsvError(
                 f"row {lineno}: expected {width} fields, got {len(row)} (ragged row)"
             )
         try:
-            values = [float(tok) for tok in row]
+            values[r] = [float(tok) for tok in row]
         except ValueError as exc:
             raise CsvError(f"row {lineno}: {exc}") from None
-        if values[-1] not in (-1.0, 1.0):
-            raise CsvError(f"row {lineno}: label must be -1 or +1, got {row[-1]!r}")
-        points[r] = values[:-1]
-        labels[r] = values[-1]
-    return Database(points, labels)
+    return values, line_numbers
+
+
+def split_labels(values: np.ndarray, line_numbers: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Split `read_rows` output into features and a final -1/+1 label column."""
+    labels = values[:, -1]
+    bad = np.flatnonzero((labels != 1.0) & (labels != -1.0))
+    if bad.size:
+        r = bad[0]
+        raise CsvError(
+            f"row {line_numbers[r]}: label must be -1 or +1, got {float(labels[r])!r}"
+        )
+    return values[:, :-1], labels
+
+
+def load_csv(source, has_header: bool = False) -> Database:
+    """Parse comma-separated rows of d real features followed by a -1/+1 label.
+
+    Accepts a path, bytes, text, or a readable stream; UTF-8 with LF or CRLF
+    endings. When `has_header` is set the first row is skipped.
+    """
+    values, line_numbers = read_rows(source, has_header)
+    if len(values) <= 1:
+        raise CsvError("dataset must contain more than one data row")
+    if values.shape[1] < 2:
+        raise CsvError(f"row {line_numbers[0]}: need at least one feature and a label")
+    return Database(*split_labels(values, line_numbers))
 
 
 def to_csv(db: Database) -> str:

@@ -25,13 +25,12 @@ from . import noise
 from .data import Database
 from .kernels import KernelSpec, linear_kernel
 from .rff import CalibrationError, RandomFeatureMap, feature_matrix
-from .solver import SvmModel, solve_svm_dual
+from .solver import as_points, primal_weights, solve_svm_dual
 
 __all__ = [
     "IDENTITY_MAP",
     "PrivateModel",
     "CalibrationReport",
-    "train_svm",
     "train_private_finite",
     "train_private_rff",
     "calibrate_noise_privacy_finite",
@@ -97,9 +96,7 @@ class PrivateModel:
         return float(self.decision_values(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != self.dim:
-            raise ValueError("point dimension does not match the model")
+        X = as_points(X, self.dim)
         if self.feature_map == IDENTITY_MAP:
             return X @ self.weights
         return feature_matrix(self.feature_map, X) @ self.weights
@@ -116,11 +113,6 @@ class PrivateModel:
         )
 
 
-def train_svm(db: Database, kernel: KernelSpec, C: float) -> SvmModel:
-    """Non-private SVM training with default solver tolerances."""
-    return solve_svm_dual(db, kernel, C)
-
-
 def train_private_finite(
     db: Database, C: float, lam: float, rng, claimed: dict | None = None,
     seed: int | None = None,
@@ -132,8 +124,7 @@ def train_private_finite(
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    model = solve_svm_dual(db, linear_kernel(), C)
-    w = db.points.T @ (model.alphas * db.labels)
+    w = primal_weights(solve_svm_dual(db, linear_kernel(), C))
     w_hat = w + _draw_noise(lam, db.dim, rng)
     return PrivateModel(
         weights=w_hat,
@@ -163,8 +154,7 @@ def train_private_rff(
     if d_hat < 1:
         raise ValueError("d_hat must be positive")
     fmap = RandomFeatureMap.from_rng(kernel, db.dim, d_hat, rng)
-    model = solve_svm_dual(db, fmap, C)
-    w = feature_matrix(fmap, db.points).T @ (model.alphas * db.labels)
+    w = primal_weights(solve_svm_dual(db, fmap, C))
     w_hat = w + _draw_noise(lam, 2 * d_hat, rng)
     return PrivateModel(
         weights=w_hat,

@@ -19,7 +19,7 @@ from .data import Database
 from .kernels import KernelSpec
 from .mechanisms import IDENTITY_MAP, PrivateModel
 from .rff import RandomFeatureMap
-from .solver import SvmModel
+from .solver import SvmModel, primal_weights
 
 __all__ = ["FORMAT_VERSION", "model_to_doc", "model_from_doc", "save_model", "load_model", "dumps"]
 
@@ -84,8 +84,7 @@ def _svm_doc(model: SvmModel) -> dict:
         "sweeps": int(model.sweeps),
     }
     if model.kernel.family == "linear":
-        w = db.points.T @ (model.alphas * db.labels)
-        doc["weights"] = [float(v) for v in w]
+        doc["weights"] = [float(v) for v in primal_weights(model)]
     return doc
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "rff_features",
     "feature_matrix",
     "rff_kernel",
-    "gram",
     "calibrate_rff_dim",
 ]
 
@@ -114,20 +113,6 @@ def rff_kernel(m: RandomFeatureMap, x, y) -> float:
     if x.shape != y.shape or x.shape != (m.dim,):
         raise ValueError("x and y must be vectors matching the map dimension")
     return float(np.mean(np.cos(m.omegas @ (x - y))))
-
-
-def gram(m: RandomFeatureMap, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise approximate-kernel matrix between the rows of A and B."""
-    A = np.asarray(A, dtype=np.float64)
-    B = A if B is None else np.asarray(B, dtype=np.float64)
-    if A.shape[1] != m.dim or B.shape[1] != m.dim:
-        raise ValueError("point sets must match the map dimension")
-    za = A @ m.omegas.T
-    zb = B @ m.omegas.T
-    out = np.empty((A.shape[0], B.shape[0]))
-    for i in range(A.shape[0]):
-        out[i] = np.mean(np.cos(za[i][None, :] - zb), axis=1)
-    return out
 
 
 def calibrate_rff_dim(eps: float, delta: float, d: int, sigma_p: float, diam: float) -> int:

@@ -23,9 +23,7 @@ __all__ = [
     "solve_svm_dual",
     "kkt_residual",
     "primal_weights",
-    "dual_decision",
     "decision_values",
-    "primal_decision",
 ]
 
 _DEGENERATE_DIAG = 1e-15
@@ -43,10 +41,24 @@ class ConvergenceError(RuntimeError):
 
 
 def gram_any(kernel, A, B=None) -> np.ndarray:
-    """Gram matrix under either an exact kernel or a random feature map."""
+    """Gram matrix under either an exact kernel or a random feature map.
+
+    A random feature map's Gram is Phi_A Phi_B^T of its feature matrices.
+    With B omitted every Gram is exactly symmetric, which the solver relies on.
+    """
     if isinstance(kernel, RandomFeatureMap):
-        return rff.gram(kernel, A, B)
+        phi_a = rff.feature_matrix(kernel, A)
+        phi_b = phi_a if B is None else rff.feature_matrix(kernel, B)
+        return phi_a @ phi_b.T
     return kernels.gram(kernel, A, B)
+
+
+def as_points(X, dim: int) -> np.ndarray:
+    """X as an (m, dim) float array; ValueError for any other shape."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError(f"points must be an (m, {dim}) array, got shape {X.shape}")
+    return X
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,10 +135,12 @@ def solve_svm_dual(
         raise ValueError("tol and max_sweeps must be positive")
     n = db.n
     y = db.labels
-    K = gram_any(kernel, db.points)
-    Q = (y[:, None] * y[None, :]) * K
-    diag = np.ascontiguousarray(np.diag(Q))
-    Q = np.asfortranarray(Q)
+    # The Gram is exactly symmetric, so its transpose is Q's column-major
+    # layout, which makes each column Q[:, i] the sweep reads contiguous.
+    Q = gram_any(kernel, db.points).T
+    Q *= y[:, None]
+    Q *= y
+    diag = np.diag(Q)
     upper = C / n
 
     alphas = np.zeros(n)
@@ -181,31 +195,22 @@ def solve_svm_dual(
     )
 
 
-def primal_weights(model: SvmModel, features) -> np.ndarray:
-    """Weight vector sum_i a_i y_i features(x_i) for a finite feature map."""
-    coef = model.alphas * model.support.labels
-    cols = np.stack([np.asarray(features(x), dtype=np.float64) for x in model.support.points])
-    return cols.T @ coef
+def primal_weights(model: SvmModel) -> np.ndarray:
+    """Weight vector Phi^T (a * y) of a model trained on a finite feature map.
+
+    Phi is the feature matrix of the training points: the points themselves
+    for the linear kernel, their cosine/sine features for a random feature map.
+    """
+    phi = model.support.points
+    if isinstance(model.kernel, RandomFeatureMap):
+        phi = rff.feature_matrix(model.kernel, phi)
+    elif model.kernel.family != kernels.LINEAR:
+        raise ValueError(f"the {model.kernel.family} kernel has no finite feature map")
+    return phi.T @ (model.alphas * model.support.labels)
 
 
-def dual_decision(model: SvmModel, x) -> float:
-    """Decision value sum_i a_i y_i k(x, x_i)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.support.dim,):
-        raise ValueError("point dimension does not match the model")
-    return float(decision_values(model, x[None, :])[0])
-
-
-def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
-    """Vectorized dual_decision over the rows of X."""
-    K = gram_any(model.kernel, np.asarray(X, dtype=np.float64), model.support.points)
+def decision_values(model: SvmModel, X) -> np.ndarray:
+    """Decision values sum_i a_i y_i k(x, x_i) for the rows x of X."""
+    X = as_points(X, model.support.dim)
+    K = gram_any(model.kernel, X, model.support.points)
     return K @ (model.alphas * model.support.labels)
-
-
-def primal_decision(w: np.ndarray, features, x) -> float:
-    """Decision value <w, features(x)> of an explicit weight vector."""
-    phi = np.asarray(features(x), dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if phi.shape != w.shape:
-        raise ValueError("feature vector does not match the weight dimension")
-    return float(w @ phi)

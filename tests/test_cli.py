@@ -91,6 +91,30 @@ def test_predict_accepts_labeled_rows(capsys, data_file, tmp_path):
     assert len(out.strip().splitlines()) == 2
 
 
+def test_predict_reads_quoted_fields_like_train(capsys, tmp_path):
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text('"1.0","0.0",+1\n"-1.0","0.0",-1\n')
+    model_path = str(tmp_path / "model.json")
+    assert main(["train", "--data", str(quoted), "--kernel", "linear",
+                 "--c", "2.0", "--out", model_path]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, ["predict", "--model", model_path, "--data", str(quoted)])
+    assert code == 0, err
+    assert out.strip().splitlines() == ["1.0 +1", "-1.0 -1"]
+
+
+def test_predict_rejects_mixed_row_forms(capsys, data_file, tmp_path):
+    model_path = str(tmp_path / "model.json")
+    assert main(["train", "--data", data_file, "--kernel", "linear",
+                 "--c", "2.0", "--out", model_path]) == 0
+    capsys.readouterr()
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("2.0,0.0\n-2.0,0.0,-1\n")
+    code, _, err = run(capsys, ["predict", "--model", model_path, "--data", str(mixed)])
+    assert code == 1
+    assert "row 2" in err and "ragged" in err
+
+
 def test_predict_zero_model_sign_tie(capsys, tmp_path):
     model = PrivateModel(np.zeros(2), IDENTITY_MAP, linear_kernel(), 1.0, 0.1, n=2, dim=2)
     model_path = tmp_path / "zero.json"

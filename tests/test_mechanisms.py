@@ -21,10 +21,9 @@ from privsvm.mechanisms import (
     optimal_dp_upper_bound_hinge,
     train_private_finite,
     train_private_rff,
-    train_svm,
 )
 from privsvm.rff import CalibrationError, feature_matrix
-from privsvm.solver import primal_weights
+from privsvm.solver import primal_weights, solve_svm_dual
 
 
 def two_point_db():
@@ -35,15 +34,6 @@ def _zero_noise(monkeypatch):
     monkeypatch.setattr(
         mechanisms, "_draw_noise", lambda scale, count, rng: np.zeros(count)
     )
-
-
-def test_train_svm_delegates():
-    model = train_svm(two_point_db(), linear_kernel(), 2.0)
-    assert np.allclose(primal_weights(model, lambda x: x), [1.0, 0.0], atol=1e-12)
-    tiny = train_svm(two_point_db(), linear_kernel(), 1e-12)
-    assert np.linalg.norm(primal_weights(tiny, lambda x: x)) <= 2e-12
-    again = train_svm(two_point_db(), linear_kernel(), 2.0)
-    assert np.array_equal(model.alphas, again.alphas)
 
 
 def test_private_finite_zero_noise_hook(monkeypatch):
@@ -89,6 +79,15 @@ def test_private_rff_deterministic_given_seed():
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.feature_map.omegas, b.feature_map.omegas)
     assert a.weights.shape == (32,)
+
+
+def test_private_rff_zero_noise_releases_primal_weights(monkeypatch):
+    _zero_noise(monkeypatch)
+    rng = np.random.default_rng(41)
+    db = Database(rng.uniform(-1, 1, (9, 2)), rng.choice([-1.0, 1.0], 9))
+    model = train_private_rff(db, rbf_kernel(0.8), 1.5, 0.1, 20, np.random.default_rng(3))
+    expected = primal_weights(solve_svm_dual(db, model.feature_map, 1.5))
+    assert np.array_equal(model.weights, expected)
 
 
 def test_private_rff_label_flip_negates_weights(monkeypatch):

@@ -9,10 +9,10 @@ from privsvm.rff import (
     RandomFeatureMap,
     calibrate_rff_dim,
     feature_matrix,
-    gram,
     rff_features,
     rff_kernel,
 )
+from privsvm.solver import gram_any
 
 
 def _map(d_hat=8, dim=2, seed=1, kernel=None):
@@ -85,7 +85,7 @@ def test_gram_matches_pointwise_and_feature_path():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 2))
     B = rng.standard_normal((3, 2))
-    G = gram(m, A, B)
+    G = gram_any(m, A, B)
     F_A = feature_matrix(m, A)
     F_B = feature_matrix(m, B)
     assert np.allclose(G, F_A @ F_B.T, atol=1e-12)

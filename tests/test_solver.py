@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from privsvm.data import Database
-from privsvm.kernels import linear_kernel, rbf_kernel
+from privsvm.kernels import (
+    cauchy_kernel, gram, kernel_eval, laplacian_kernel, linear_kernel, rbf_kernel,
+)
+from privsvm.mechanisms import IDENTITY_MAP, PrivateModel
+from privsvm.rff import RandomFeatureMap
 from privsvm.solver import (
     ConvergenceError,
     decision_values,
-    dual_decision,
     gram_any,
     kkt_residual,
-    primal_decision,
     primal_weights,
     solve_svm_dual,
 )
@@ -28,7 +30,7 @@ def brute_force_dual_max(db, kernel, C, step=1e-3):
     """
     assert db.n == 3
     y = db.labels
-    Q = (y[:, None] * y[None, :]) * gram_any(kernel, db.points)
+    Q = (y[:, None] * y[None, :]) * gram(kernel, db.points)
     ub = C / db.n
     g = np.arange(0.0, ub + step / 2, step)
     if g[-1] < ub:
@@ -63,14 +65,14 @@ def test_two_point_solution():
     assert np.all(model.alphas >= 0.0) and np.all(model.alphas <= 1.0)
     assert model.objective == pytest.approx(0.5, abs=1e-12)
     assert model.residual <= 1e-8
-    w = primal_weights(model, lambda x: x)
+    w = primal_weights(model)
     assert np.allclose(w, [1.0, 0.0], atol=1e-12)
 
 
 def test_vanishing_c_collapses_to_zero():
     model = solve_svm_dual(two_point_db(), linear_kernel(), C=1e-12)
     assert np.all(model.alphas <= 1e-12 / 2)
-    w = primal_weights(model, lambda x: x)
+    w = primal_weights(model)
     assert np.linalg.norm(w) <= 2e-12
 
 
@@ -86,31 +88,70 @@ def test_packing_member_alpha_at_bound():
     assert model.alphas[-1] == pytest.approx(0.125, abs=1e-9)
 
 
-def test_dual_decision_examples():
+def test_decision_values_examples():
     model = solve_svm_dual(two_point_db(), linear_kernel(), C=2.0)
-    assert dual_decision(model, np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-9)
-    assert dual_decision(model, np.array([0.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+    vals = decision_values(model, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert vals[0] == pytest.approx(1.0, abs=1e-9)
+    assert vals[1] == pytest.approx(0.0, abs=1e-12)
     zero = solve_svm_dual(two_point_db(), linear_kernel(), C=1e-12)
-    assert dual_decision(zero, np.array([0.3, 0.7])) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_primal_decision_examples():
-    assert primal_decision(np.zeros(2), lambda x: x, np.array([1.0, 2.0])) == 0.0
-    assert primal_decision(np.array([1.0, 0.0]), lambda x: x, np.array([0.7, 3.0])) == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        primal_decision(np.zeros(3), lambda x: x, np.array([1.0, 2.0]))
+    assert decision_values(zero, np.array([[0.3, 0.7]]))[0] == pytest.approx(0.0, abs=1e-12)
+    # each row against the pointwise sum a_i y_i k(x, x_i)
+    rng = np.random.default_rng(6)
+    db = Database(rng.uniform(-1, 1, (8, 2)), rng.choice([-1.0, 1.0], 8))
+    model = solve_svm_dual(db, rbf_kernel(1.1), 1.5)
+    X = rng.uniform(-1, 1, (7, 2))
+    vals = decision_values(model, X)
+    coef = model.alphas * db.labels
+    for i in range(7):
+        expected = sum(c * kernel_eval(rbf_kernel(1.1), X[i], p) for c, p in zip(coef, db.points))
+        assert vals[i] == pytest.approx(expected, abs=1e-12)
 
 
 def test_primal_dual_consistency_linear():
+    # the released primal classifier <w, phi(x)> equals the dual one, for the
+    # identity map and for a random feature map
     rng = np.random.default_rng(31)
+    fmap = RandomFeatureMap.draw(rbf_kernel(1.0), 2, 16, seed=4)
+    maps = ((linear_kernel(), IDENTITY_MAP, linear_kernel()), (fmap, fmap, fmap.kernel))
     for _ in range(10):
         db, _, C = random_instance(rng, n=6)
-        model = solve_svm_dual(db, linear_kernel(), C)
-        w = primal_weights(model, lambda x: x)
-        for x in db.points:
-            assert primal_decision(w, lambda v: v, x) == pytest.approx(
-                dual_decision(model, x), abs=1e-9
+        X = rng.uniform(-1, 1, (5, 2))
+        for solve_kernel, feature_map, kernel in maps:
+            model = solve_svm_dual(db, solve_kernel, C)
+            released = PrivateModel(
+                primal_weights(model), feature_map, kernel, C, 1.0, n=db.n, dim=db.dim
             )
+            assert np.allclose(
+                released.decision_values(X), decision_values(model, X), rtol=0, atol=1e-9
+            )
+    with pytest.raises(ValueError, match="no finite feature map"):
+        primal_weights(solve_svm_dual(db, rbf_kernel(1.0), C))
+
+
+@pytest.mark.parametrize("decide", [
+    decision_values,
+    lambda model, X: PrivateModel(
+        primal_weights(model), IDENTITY_MAP, linear_kernel(), 2.0, 1.0, n=2, dim=2
+    ).decision_values(X),
+], ids=["solver", "private_model"])
+@pytest.mark.parametrize("X", [np.zeros(2), np.zeros((2, 3)), np.zeros((1, 1, 2))],
+                         ids=["1d", "wrong_width", "3d"])
+def test_decision_values_rejects_bad_shape(decide, X):
+    model = solve_svm_dual(two_point_db(), linear_kernel(), C=2.0)
+    with pytest.raises(ValueError, match="array"):
+        decide(model, X)
+
+
+@pytest.mark.parametrize("kernel", [
+    linear_kernel(), rbf_kernel(0.7), laplacian_kernel(), cauchy_kernel(),
+    RandomFeatureMap.draw(rbf_kernel(1.0), 3, 40, seed=5),
+], ids=["linear", "rbf", "laplacian", "cauchy", "rff"])
+@pytest.mark.parametrize("n", [2, 7, 1000])
+def test_gram_any_is_exactly_symmetric(kernel, n):
+    # the solver builds Q in place from the Gram's transpose
+    A = np.random.default_rng(n).uniform(-2, 2, (n, 3))
+    G = gram_any(kernel, A)
+    assert np.array_equal(G, G.T)
 
 
 def test_oracle_equivalence_small_instances():
@@ -161,8 +202,8 @@ def test_label_flip_negates_weights():
     rng = np.random.default_rng(14)
     db = Database(rng.uniform(-1, 1, (10, 2)), rng.choice([-1.0, 1.0], 10))
     flipped = Database(db.points, -db.labels)
-    w = primal_weights(solve_svm_dual(db, linear_kernel(), 1.0), lambda x: x)
-    w_flipped = primal_weights(solve_svm_dual(flipped, linear_kernel(), 1.0), lambda x: x)
+    w = primal_weights(solve_svm_dual(db, linear_kernel(), 1.0))
+    w_flipped = primal_weights(solve_svm_dual(flipped, linear_kernel(), 1.0))
     assert np.allclose(w, -w_flipped, atol=1e-12)
 
 
@@ -189,13 +230,3 @@ def test_invalid_parameters():
         solve_svm_dual(two_point_db(), linear_kernel(), C=0.0)
     with pytest.raises(ValueError):
         solve_svm_dual(two_point_db(), linear_kernel(), C=1.0, tol=0.0)
-
-
-def test_decision_values_vectorizes_dual_decision():
-    rng = np.random.default_rng(6)
-    db = Database(rng.uniform(-1, 1, (8, 2)), rng.choice([-1.0, 1.0], 8))
-    model = solve_svm_dual(db, rbf_kernel(1.1), 1.5)
-    X = rng.uniform(-1, 1, (7, 2))
-    vals = decision_values(model, X)
-    for i in range(7):
-        assert vals[i] == pytest.approx(dual_decision(model, X[i]), abs=1e-12)
