@@ -63,7 +63,10 @@ def _cmd_train(args) -> int:
     model = solve_svm_dual(db, kernel, args.c, tol=args.tol, max_sweeps=args.max_sweeps)
     model_io.save_model(model, args.out)
     print(json.dumps({"written": args.out, "n": db.n, "dim": db.dim,
-                      "objective": model.objective, "sweeps": model.sweeps}))
+                      "objective": model.objective, "sweeps": model.sweeps,
+                      "residual": model.residual,
+                      "at_lower": int(np.count_nonzero(model.alphas <= 0.0)),
+                      "at_upper": int(np.count_nonzero(model.alphas >= model.C / db.n))}))
     return 0
 
 

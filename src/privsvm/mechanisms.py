@@ -90,6 +90,8 @@ class PrivateModel:
                 raise ValueError("weights must have length 2*d_hat")
         else:
             raise ValueError("feature_map must be IDENTITY_MAP or a RandomFeatureMap")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
         object.__setattr__(self, "weights", weights)
 
     def decision(self, x) -> float:

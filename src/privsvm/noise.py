@@ -17,13 +17,20 @@ def sample_laplace(scale: float, count: int, rng) -> np.ndarray:
     """Draw `count` i.i.d. Laplace(0, scale) values from `rng`.
 
     Uses the inverse CDF -scale * sgn(u) * ln(1 - 2|u|) with u uniform on
-    (-1/2, 1/2); u = 0 maps to 0.
+    (-1/2, 1/2); u = 0 maps to 0. The generator's uniforms lie in [0, 1), so
+    u = -1/2, which would map to -inf, is possible; exactly those entries are
+    redrawn from the same generator, in index order. Every other draw, and
+    the stream consumed when no redraw is needed, are unchanged.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
     if count < 1:
         raise ValueError("count must be positive")
     u = rng.random(count) - 0.5
+    edge = np.flatnonzero(u == -0.5)
+    while edge.size:
+        u[edge] = rng.random(edge.size) - 0.5
+        edge = edge[u[edge] == -0.5]
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 

@@ -2,8 +2,14 @@
 
 The dual maximizes sum_i a_i - 1/2 sum_ij a_i a_j y_i y_j k(x_i, x_j) over the
 box 0 <= a_i <= C/n. There is no equality constraint (the primal carries no
-bias term), so single-coordinate updates are exact and the sweep order is a
-fixed cycle 1..n, which keeps solutions bit-stable across runs.
+bias term), so single-coordinate updates are exact. The first sweep visits
+every coordinate in the order 1..n; each later sweep visits, in increasing
+index order, only the coordinates that can move: the interior ones and those
+at a bound whose gradient points into the box. That set is recomputed after
+every sweep from the full gradient, and the stopping test is the
+full-coordinate KKT residual, so skipping a coordinate never hides a
+violation. The order depends only on the inputs, which keeps solutions
+bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -90,23 +96,29 @@ class SvmModel:
         )
 
 
+def _kkt_state(alphas: np.ndarray, grad: np.ndarray, upper: float):
+    """KKT residual and the coordinates a sweep can move, from one projected gradient.
+
+    The projected gradient is g_i at interior coordinates, max(g_i, 0) at 0
+    and min(g_i, 0) at `upper`; the residual is its largest magnitude. The
+    movable coordinates, in increasing order, are the interior ones and those
+    with a nonzero projected gradient: a bound coordinate whose gradient
+    points out of the box has a projected step of exactly 0.
+    """
+    at_lower = alphas <= 0.0
+    at_upper = alphas >= upper
+    pg = np.where(at_lower, np.maximum(grad, 0.0), np.where(at_upper, np.minimum(grad, 0.0), grad))
+    movable = np.flatnonzero((pg != 0.0) | ~(at_lower | at_upper))
+    return float(np.max(np.abs(pg), initial=0.0)), movable
+
+
 def kkt_residual(alphas: np.ndarray, grad: np.ndarray, upper: float) -> float:
     """Largest first-order violation of the box-constrained maximization.
 
     With g_i the dual gradient: interior coordinates need |g_i| small, the
     lower-active need g_i <= 0, the upper-active need g_i >= 0.
     """
-    at_lower = alphas <= 0.0
-    at_upper = alphas >= upper
-    interior = ~(at_lower | at_upper)
-    residual = 0.0
-    if np.any(interior):
-        residual = float(np.max(np.abs(grad[interior])))
-    if np.any(at_lower):
-        residual = max(residual, float(np.max(grad[at_lower], initial=0.0)))
-    if np.any(at_upper):
-        residual = max(residual, float(np.max(-grad[at_upper], initial=0.0)))
-    return residual
+    return _kkt_state(alphas, grad, upper)[0]
 
 
 def solve_svm_dual(
@@ -117,6 +129,13 @@ def solve_svm_dual(
     max_sweeps: int = 10**6,
 ) -> SvmModel:
     """Solve the hinge-loss dual to KKT residual <= tol.
+
+    A sweep is one pass of single-coordinate updates: over every coordinate
+    on the first sweep, and afterwards over only the coordinates the full
+    gradient at the end of the previous sweep lets move (interior, or at a
+    bound with the gradient pointing into the box), in increasing index
+    order. Q @ alphas is kept for all n coordinates, so each sweep ends with
+    every coordinate's gradient and the exit test is the full KKT residual.
 
     Args:
         db: training database (n > 1 entries).
@@ -148,8 +167,9 @@ def solve_svm_dual(
     trace = []
     residual = np.inf
     sweeps_done = 0
+    movable = range(n)
     for sweep in range(1, max_sweeps + 1):
-        for i in range(n):
+        for i in movable:
             g = 1.0 - q[i]
             if diag[i] <= _DEGENERATE_DIAG:
                 # objective is linear in this coordinate
@@ -168,9 +188,10 @@ def solve_svm_dual(
         if sweep % 64 == 0:
             q = Q @ alphas  # shed incremental rounding drift
         trace.append(float(alphas.sum() - 0.5 * (alphas @ q)))
-        residual = kkt_residual(alphas, 1.0 - q, upper)
+        residual, movable = _kkt_state(alphas, 1.0 - q, upper)
         if residual <= tol:
             break
+        movable = movable.tolist()  # Python ints index faster than numpy scalars
     else:
         q = Q @ alphas
         raise ConvergenceError(

@@ -42,6 +42,28 @@ def test_train_happy_path(capsys, data_file, tmp_path):
     assert json.loads(out)["written"] == out_path
 
 
+def test_train_reports_solver_diagnostics(capsys, tmp_path):
+    rng = np.random.default_rng(12)
+    n = 30
+    points = rng.uniform(-1, 1, (n, 2))
+    labels = np.where(rng.random(n) < 0.5, 1, -1)
+    data = tmp_path / "d.csv"
+    data.write_text("".join(f"{x},{y},{l:+d}\n" for (x, y), l in zip(points, labels)))
+    out_path = str(tmp_path / "model.json")
+    code, out, _ = run(capsys, [
+        "train", "--data", str(data), "--kernel", "rbf", "--sigma", "0.5",
+        "--c", "100", "--out", out_path,
+    ])
+    assert code == 0
+    summary = json.loads(out)
+    model = load_model(out_path)
+    assert summary["residual"] == model.residual <= 1e-8
+    assert summary["at_lower"] == np.count_nonzero(model.alphas <= 0.0)
+    assert summary["at_upper"] == np.count_nonzero(model.alphas >= 100 / n)
+    assert summary["at_lower"] > 0 and summary["at_upper"] > 0
+    assert summary["at_lower"] + summary["at_upper"] <= n
+
+
 def test_train_rbf_requires_sigma(capsys, data_file, tmp_path):
     code, _, err = run(capsys, [
         "train", "--data", data_file, "--kernel", "rbf",

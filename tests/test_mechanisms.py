@@ -22,7 +22,7 @@ from privsvm.mechanisms import (
     train_private_finite,
     train_private_rff,
 )
-from privsvm.rff import CalibrationError, feature_matrix
+from privsvm.rff import CalibrationError, RandomFeatureMap, feature_matrix
 from privsvm.solver import primal_weights, solve_svm_dual
 
 
@@ -138,6 +138,19 @@ def test_private_model_validation():
         PrivateModel(np.zeros(2), IDENTITY_MAP, linear_kernel(), 1.0, 0.0, n=2, dim=2)
     with pytest.raises(ValueError):
         PrivateModel(np.zeros(2), "bogus-map", linear_kernel(), 1.0, 0.1, n=2, dim=2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_private_model_rejects_non_finite_weights(bad):
+    weights = np.zeros(2)
+    weights[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PrivateModel(weights, IDENTITY_MAP, linear_kernel(), 1.0, 0.1, n=2, dim=2)
+    fmap = RandomFeatureMap.draw(rbf_kernel(1.0), 2, 3, seed=1)
+    weights = np.zeros(fmap.feature_dim)
+    weights[0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PrivateModel(weights, fmap, rbf_kernel(1.0), 1.0, 0.1, n=2, dim=2)
 
 
 def test_calibrate_noise_privacy_finite():

@@ -17,6 +17,43 @@ def test_inverse_cdf_median_maps_to_zero():
     assert np.array_equal(sample_laplace(1.0, 4, _MedianStream()), np.zeros(4))
 
 
+class _ScriptedStream:
+    """Stub generator replaying fixed uniform batches and recording each request."""
+
+    def __init__(self, *batches):
+        self.batches = list(batches)
+        self.requests = []
+
+    def random(self, count):
+        self.requests.append(count)
+        batch = np.array(self.batches.pop(0), dtype=np.float64)
+        assert batch.shape == (count,)
+        return batch
+
+
+def _inverse_cdf(scale, uniforms):
+    u = np.asarray(uniforms) - 0.5
+    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+def test_zero_uniform_is_redrawn_not_infinite():
+    # a uniform of exactly 0.0 maps to -inf; those entries alone are redrawn,
+    # again if the redraw is 0.0, and every other entry keeps its draw
+    stream = _ScriptedStream([0.0, 0.25, 0.0, 0.9], [0.0, 0.75], [0.6])
+    draws = sample_laplace(1.5, 4, stream)
+    assert np.all(np.isfinite(draws))
+    assert stream.requests == [4, 2, 1]
+    assert np.array_equal(draws, _inverse_cdf(1.5, [0.6, 0.25, 0.75, 0.9]))
+
+
+def test_stream_consumption_unchanged_without_zero_uniform():
+    rng = np.random.default_rng(9)
+    draws = sample_laplace(0.7, 1000, rng)
+    ref = np.random.default_rng(9)
+    assert np.array_equal(draws, _inverse_cdf(0.7, ref.random(1000)))
+    assert rng.random() == ref.random()
+
+
 def test_sample_moments():
     draws = sample_laplace(2.0, 10**5, np.random.default_rng(123))
     assert -0.05 <= draws.mean() <= 0.05

@@ -6,8 +6,9 @@ from privsvm.kernels import (
     cauchy_kernel, gram, kernel_eval, laplacian_kernel, linear_kernel, rbf_kernel,
 )
 from privsvm.mechanisms import IDENTITY_MAP, PrivateModel
-from privsvm.rff import RandomFeatureMap
+from privsvm.rff import RandomFeatureMap, feature_matrix
 from privsvm.solver import (
+    _DEGENERATE_DIAG,
     ConvergenceError,
     decision_values,
     gram_any,
@@ -21,6 +22,16 @@ def two_point_db():
     return Database(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, -1.0]))
 
 
+def independent_q(db, kernel):
+    """Q = (y y^T) * K from kernels.gram, or from the feature matrix for random features."""
+    if isinstance(kernel, RandomFeatureMap):
+        phi = feature_matrix(kernel, db.points)
+        K = phi @ phi.T
+    else:
+        K = gram(kernel, db.points)
+    return (db.labels[:, None] * db.labels[None, :]) * K
+
+
 def brute_force_dual_max(db, kernel, C, step=1e-3):
     """Grid maximum of the dual objective over the box, for n == 3 instances.
 
@@ -29,8 +40,7 @@ def brute_force_dual_max(db, kernel, C, step=1e-3):
     and returns the largest value found.
     """
     assert db.n == 3
-    y = db.labels
-    Q = (y[:, None] * y[None, :]) * gram(kernel, db.points)
+    Q = independent_q(db, kernel)
     ub = C / db.n
     g = np.arange(0.0, ub + step / 2, step)
     if g[-1] < ub:
@@ -49,6 +59,65 @@ def brute_force_dual_max(db, kernel, C, step=1e-3):
         buf += base
         best = max(best, buf.max() + c1[i])
     return float(best)
+
+
+def mask_residual(alphas, grad, upper):
+    """Reference KKT residual: interior, lower-bound and upper-bound violations taken separately."""
+    at_lower = alphas <= 0.0
+    at_upper = alphas >= upper
+    interior = ~(at_lower | at_upper)
+    return max(
+        float(np.max(np.abs(grad[interior]), initial=0.0)),
+        float(np.max(grad[at_lower], initial=0.0)),
+        float(np.max(-grad[at_upper], initial=0.0)),
+    )
+
+
+def full_cycle_dual(Q, upper, tol=1e-8, max_sweeps=10**6):
+    """Reference solver: the coordinate-ascent loop visiting every coordinate 1..n each sweep.
+
+    Returns the dual objective at its exit point, evaluated with Q.
+    """
+    n = len(Q)
+    diag = np.diag(Q)
+    alphas = np.zeros(n)
+    q = np.zeros(n)
+    for sweep in range(1, max_sweeps + 1):
+        for i in range(n):
+            g = 1.0 - q[i]
+            if diag[i] <= _DEGENERATE_DIAG:
+                new = upper if g > 0 else (0.0 if g < 0 else alphas[i])
+            else:
+                new = alphas[i] + g / diag[i]
+                if new < 0.0:
+                    new = 0.0
+                elif new > upper:
+                    new = upper
+            step = new - alphas[i]
+            if step != 0.0:
+                alphas[i] = new
+                q += step * Q[:, i]
+        if sweep % 64 == 0:
+            q = Q @ alphas
+        if mask_residual(alphas, 1.0 - q, upper) <= tol:
+            return float(alphas.sum() - 0.5 * (alphas @ (Q @ alphas)))
+    raise AssertionError(f"reference loop did not converge in {max_sweeps} sweeps")
+
+
+def assert_matches_reference(db, kernel, C, tol=1e-8):
+    """The solver and the full-cycle reference reach the same dual optimum.
+
+    With every projected gradient |pg_i| <= tol and every |a*_i - a_i| <= C/n,
+    concavity gives D* - D(a) <= sum_i pg_i (a*_i - a_i) <= C * tol, so both
+    objectives lie within C * tol of D* and of each other.
+    """
+    Q = independent_q(db, kernel)
+    upper = C / db.n
+    model = solve_svm_dual(db, kernel, C, tol=tol)
+    assert mask_residual(model.alphas, 1.0 - Q @ model.alphas, upper) <= tol
+    objective = float(model.alphas.sum() - 0.5 * (model.alphas @ (Q @ model.alphas)))
+    assert abs(objective - full_cycle_dual(Q, upper, tol)) <= C * tol
+    return model
 
 
 def random_instance(rng, n=3, d=2, C=1.0):
@@ -163,6 +232,17 @@ def test_oracle_equivalence_small_instances():
         assert model.objective >= brute_force_dual_max(db, kernel, C) - 1e-4
 
 
+@pytest.mark.parametrize("kernel", [
+    linear_kernel(), rbf_kernel(0.7), laplacian_kernel(), cauchy_kernel(),
+    RandomFeatureMap.draw(rbf_kernel(1.0), 3, 40, seed=5),
+], ids=["linear", "rbf", "laplacian", "cauchy", "rff"])
+@pytest.mark.parametrize("C", [1.0, 100.0, 1000.0])
+def test_active_set_matches_full_cycle_reference(kernel, C):
+    rng = np.random.default_rng(int(C))
+    db = Database(rng.uniform(-1, 1, (40, 3)), rng.choice([-1.0, 1.0], 40))
+    assert_matches_reference(db, kernel, C)
+
+
 def test_monotone_objective_trace():
     rng = np.random.default_rng(17)
     for _ in range(5):
@@ -196,6 +276,8 @@ def test_solver_determinism():
     b = solve_svm_dual(db, rbf_kernel(0.8), 1.0)
     assert np.array_equal(a.alphas, b.alphas)
     assert a.objective == b.objective
+    assert a.sweeps == b.sweeps
+    assert a.objective_trace == b.objective_trace
 
 
 def test_label_flip_negates_weights():
@@ -214,6 +296,33 @@ def test_degenerate_diagonal_handled():
     model = solve_svm_dual(db, linear_kernel(), C=2.0)
     assert model.alphas[0] == pytest.approx(1.0, abs=1e-12)
     assert model.residual <= 1e-8
+
+
+@pytest.mark.parametrize("C", [100.0, 1000.0])
+def test_degenerate_coordinates_enter_and_leave_active_set(C):
+    # points at the origin have a zero linear-kernel row, so their gradient
+    # is 1 throughout: each must enter on the first sweep, reach C/n exactly,
+    # and then drop out of the sweeps while the other coordinates converge
+    rng = np.random.default_rng(23)
+    points = rng.uniform(-1, 1, (12, 2))
+    points[[0, 5, 11]] = 0.0
+    labels = rng.choice([-1.0, 1.0], 12)
+    db = Database(points, labels)
+    assert np.all(np.diag(independent_q(db, linear_kernel()))[[0, 5, 11]] <= _DEGENERATE_DIAG)
+    with pytest.raises(ConvergenceError) as info:
+        solve_svm_dual(db, linear_kernel(), C, max_sweeps=1)
+    assert np.all(info.value.alphas[[0, 5, 11]] == C / 12)
+    model = assert_matches_reference(db, linear_kernel(), C)
+    assert np.all(model.alphas[[0, 5, 11]] == C / 12)
+
+
+def test_kkt_residual_matches_mask_definition():
+    # coefficients exactly at 0, at C/n and inside, gradients of both signs
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        alphas = rng.choice([0.0, 0.5, 0.999, 1.0], 9)
+        grad = rng.choice([-1.0, 0.0, 1.0], 9) * rng.uniform(0, 2, 9)
+        assert kkt_residual(alphas, grad, 1.0) == mask_residual(alphas, grad, 1.0)
 
 
 def test_kkt_residual_directionality():
