@@ -69,6 +69,7 @@ from .rff import (
     CalibrationError,
     RandomFeatureMap,
     calibrate_rff_dim,
+    displacement_kernel,
     rff_features,
     rff_kernel,
 )

@@ -24,10 +24,10 @@ from .kernels import (
     UnsupportedKernelError,
     linear_kernel,
     rbf_kernel,
-    sample_spectral,
     spectral_second_moment,
 )
 from .mechanisms import RBF_SIGMA_CEILING, train_private_rff
+from .rff import RandomFeatureMap, displacement_kernel
 from .solver import decision_values, primal_weights, solve_svm_dual
 
 __all__ = [
@@ -389,8 +389,8 @@ def kernel_approx_audit(
     failures = 0
     worst_sup = 0.0
     for t in range(trials):
-        omegas = sample_spectral(kernel, d, d_hat, child_rng(seed, t))
-        approx = np.mean(np.cos(deltas @ omegas.T), axis=1)
+        fmap = RandomFeatureMap.from_rng(kernel, d, d_hat, child_rng(seed, t))
+        approx = displacement_kernel(fmap, deltas)
         sup = float(np.max(np.abs(approx - true_vals)))
         worst_sup = max(worst_sup, sup)
         if sup >= eps:

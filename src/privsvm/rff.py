@@ -24,6 +24,7 @@ __all__ = [
     "rff_features",
     "feature_matrix",
     "rff_kernel",
+    "displacement_kernel",
     "calibrate_rff_dim",
 ]
 
@@ -112,7 +113,16 @@ def rff_kernel(m: RandomFeatureMap, x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.shape != (m.dim,):
         raise ValueError("x and y must be vectors matching the map dimension")
-    return float(np.mean(np.cos(m.omegas @ (x - y))))
+    return float(displacement_kernel(m, (x - y)[None, :])[0])
+
+
+def displacement_kernel(m: RandomFeatureMap, deltas: np.ndarray) -> np.ndarray:
+    """Approximate kernel values mean_i cos(<w_i, delta>) for the rows delta of deltas.
+
+    The one random-feature kernel estimate: <phi(x), phi(y)> for any x, y with
+    x - y = delta. A zero displacement gives exactly 1.
+    """
+    return np.mean(np.cos(deltas @ m.omegas.T), axis=1)
 
 
 def calibrate_rff_dim(eps: float, delta: float, d: int, sigma_p: float, diam: float) -> int:

@@ -10,6 +10,18 @@ every sweep from the full gradient, and the stopping test is the
 full-coordinate KKT residual, so skipping a coordinate never hides a
 violation. The order depends only on the inputs, which keeps solutions
 bit-stable across runs.
+
+Coordinate ascent settles which coefficients sit at a bound long before it
+converges on the free ones, where it converges only linearly. So after a
+sweep that leaves the same free set F (coefficients strictly inside the box)
+as the sweep before, and F is not the face last tried, the solver takes one
+face step: it solves Q_FF d = g_F for the free coefficients, with g = 1 - Q a
+and every bound coefficient held, and moves toward a_F + d as far as the box
+allows. The step is kept only if the dual objective strictly increases, so
+every iterate is still an ascent step; without that test a singular face
+system can make the sweeps and the steps undo each other forever. When the
+face is the optimal one the step lands on its exact optimum, so the exit
+residual is often far below tol.
 """
 
 from __future__ import annotations
@@ -121,6 +133,39 @@ def kkt_residual(alphas: np.ndarray, grad: np.ndarray, upper: float) -> float:
     return _kkt_state(alphas, grad, upper)[0]
 
 
+def _face_step(Q, alphas, q, free, upper) -> bool:
+    """One step toward the optimum of the face that fixes every bound coefficient.
+
+    With F the free coefficients and g = 1 - q, the face optimum is
+    alphas_F + d for Q_FF d = g_F. The step goes as far toward it as the box
+    allows: the coefficients that block are set exactly to their bound, the
+    rest clipped into the box. It is taken, updating alphas and q in place,
+    only if the dual objective strictly increases; returns whether it was.
+    """
+    Q_FF = Q[np.ix_(free, free)]
+    g = 1.0 - q[free]
+    try:
+        d = np.linalg.solve(Q_FF, g)
+    except np.linalg.LinAlgError:
+        return False
+    if not np.all(np.isfinite(d)):
+        return False
+    a = alphas[free]
+    bound = np.where(d > 0.0, upper, 0.0)  # the bound each coefficient heads for
+    with np.errstate(divide="ignore"):
+        reach = np.where(d != 0.0, (bound - a) / d, np.inf)
+    t = min(1.0, float(reach.min()))
+    new = np.clip(a + t * d, 0.0, upper)
+    blocked = reach <= t
+    new[blocked] = bound[blocked]
+    s = new - a
+    if not g @ s - 0.5 * (s @ (Q_FF @ s)) > 0.0:
+        return False
+    alphas[free] = new
+    q += Q[:, free] @ s
+    return True
+
+
 def solve_svm_dual(
     db: Database,
     kernel,
@@ -136,6 +181,12 @@ def solve_svm_dual(
     bound with the gradient pointing into the box), in increasing index
     order. Q @ alphas is kept for all n coordinates, so each sweep ends with
     every coordinate's gradient and the exit test is the full KKT residual.
+
+    A sweep whose free set matches the previous sweep's (and was not tried
+    last) is followed by one face step, a direct solve on the free
+    coefficients kept only if it raises the objective; it belongs to that
+    sweep, whose objective_trace entry is taken after it. The exit residual
+    is then often far below tol.
 
     Args:
         db: training database (n > 1 entries).
@@ -168,6 +219,7 @@ def solve_svm_dual(
     residual = np.inf
     sweeps_done = 0
     movable = range(n)
+    free = tried = np.empty(0, dtype=np.intp)
     for sweep in range(1, max_sweeps + 1):
         for i in movable:
             g = 1.0 - q[i]
@@ -187,6 +239,11 @@ def solve_svm_dual(
         sweeps_done = sweep
         if sweep % 64 == 0:
             q = Q @ alphas  # shed incremental rounding drift
+        settled, free = free, np.flatnonzero((alphas > 0.0) & (alphas < upper))
+        if free.size and np.array_equal(free, settled) and not np.array_equal(free, tried):
+            tried = free
+            if _face_step(Q, alphas, q, free, upper):
+                free = np.flatnonzero((alphas > 0.0) & (alphas < upper))
         trace.append(float(alphas.sum() - 0.5 * (alphas @ q)))
         residual, movable = _kkt_state(alphas, 1.0 - q, upper)
         if residual <= tol:

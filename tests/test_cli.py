@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -12,7 +13,11 @@ from privsvm.mechanisms import (
 )
 from privsvm.model_io import load_model, save_model
 from privsvm.mechanisms import IDENTITY_MAP, PrivateModel
-from privsvm.kernels import linear_kernel
+from privsvm.data import load_csv
+from privsvm.kernels import linear_kernel, rbf_kernel
+from privsvm.noise import sample_laplace
+from privsvm.rff import RandomFeatureMap
+from privsvm.solver import primal_weights, solve_svm_dual
 
 TWO_POINT = "1.0,0.0,+1\n-1.0,0.0,-1\n"
 
@@ -173,6 +178,51 @@ def test_private_train_rff_writes_map(capsys, data_file, tmp_path):
     model = load_model(out_path)
     assert model.feature_map.d_hat == 8
     assert model.weights.shape == (16,)
+
+
+def test_private_train_rff_release_holds_only_public_fields(capsys, tmp_path):
+    # every field of the written file is n, dim, the noisy weights, a flag,
+    # or re-derivable from --seed; nothing else computed from the data
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-1, 1, (20, 3))
+    labels = np.where(rng.random(20) < 0.5, 1, -1)
+    data = tmp_path / "d.csv"
+    data.write_text("".join(
+        ",".join(repr(float(v)) for v in row) + f",{l:+d}\n" for row, l in zip(points, labels)
+    ))
+    out_path = tmp_path / "rff.json"
+    seed, d_hat, sigma, C, lam = 11, 6, 0.7, 2.0, 0.3
+    code, _, _ = run(capsys, [
+        "private-train-rff", "--data", str(data), "--kernel", "rbf", "--sigma", str(sigma),
+        "--c", str(C), "--lambda", str(lam), "--d-hat", str(d_hat), "--seed", str(seed),
+        "--beta", "1.5", "--eps", "0.25", "--delta", "0.05", "--out", str(out_path),
+    ])
+    assert code == 0
+    doc = json.loads(out_path.read_text())
+    assert set(doc) == {"format_version", "mechanism", "kernel", "C", "lambda", "n", "dim",
+                        "seed", "d_hat", "omegas", "claimed", "weights", "checksum"}
+    # constants and flags
+    assert doc["format_version"] == 1
+    assert doc["mechanism"] == "private_rff"
+    assert doc["kernel"] == {"family": "rbf", "sigma": sigma}
+    assert (doc["C"], doc["lambda"], doc["seed"], doc["d_hat"]) == (C, lam, seed, d_hat)
+    assert doc["claimed"] == {"beta": 1.5, "epsilon": 0.25, "delta": 0.05,
+                              "L": 1.0, "d_hat": d_hat, "n": 20}
+    # the sizes of the data
+    assert (doc["n"], doc["dim"]) == (20, 3)
+    # the map is the first d_hat spectral draws of default_rng(seed)
+    spectral = np.random.default_rng(seed).standard_normal((d_hat, 3)) / sigma
+    assert np.array_equal(np.array(doc["omegas"]), spectral)
+    # the noisy weights: this data's primal weights plus the next 2*d_hat
+    # Laplace draws of the same generator
+    gen = np.random.default_rng(seed)
+    fmap = RandomFeatureMap.from_rng(rbf_kernel(sigma), 3, d_hat, gen)
+    clean = primal_weights(solve_svm_dual(load_csv(str(data)), fmap, C))
+    assert np.array_equal(np.array(doc["weights"]), clean + sample_laplace(lam, 2 * d_hat, gen))
+    # the checksum covers exactly the other fields
+    rest = {k: v for k, v in doc.items() if k != "checksum"}
+    payload = json.dumps(rest, sort_keys=True, separators=(",", ":"))
+    assert doc["checksum"] == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def test_private_train_requires_seed(capsys, data_file, tmp_path):

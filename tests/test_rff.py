@@ -8,6 +8,7 @@ from privsvm.rff import (
     CalibrationError,
     RandomFeatureMap,
     calibrate_rff_dim,
+    displacement_kernel,
     feature_matrix,
     rff_features,
     rff_kernel,
@@ -70,6 +71,18 @@ def test_kernel_matches_feature_inner_product():
         assert direct == pytest.approx(via_features, abs=1e-12)
         assert direct == rff_kernel(m, y, x)
         assert abs(direct) <= 1.0
+
+
+def test_displacement_kernel_is_rff_kernel_rowwise():
+    # the one estimate behind rff_kernel and the kernel-approximation audit
+    m = _map(d_hat=32, dim=3)
+    rng = np.random.default_rng(13)
+    X, Y = rng.standard_normal((2, 6, 3))
+    rows = displacement_kernel(m, X - Y)
+    assert rows.shape == (6,)
+    pairwise = [rff_kernel(m, x, y) for x, y in zip(X, Y)]
+    assert np.allclose(rows, pairwise, rtol=0, atol=1e-15)
+    assert np.all(displacement_kernel(m, np.zeros((4, 3))) == 1.0)
 
 
 def test_kernel_monte_carlo_convergence():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from privsvm.audit import child_rng
 from privsvm.data import Database
 from privsvm.kernels import (
     cauchy_kernel, gram, kernel_eval, laplacian_kernel, linear_kernel, rbf_kernel,
@@ -104,7 +105,7 @@ def full_cycle_dual(Q, upper, tol=1e-8, max_sweeps=10**6):
     raise AssertionError(f"reference loop did not converge in {max_sweeps} sweeps")
 
 
-def assert_matches_reference(db, kernel, C, tol=1e-8):
+def assert_matches_reference(db, kernel, C, tol=1e-8, max_sweeps=10**6):
     """The solver and the full-cycle reference reach the same dual optimum.
 
     With every projected gradient |pg_i| <= tol and every |a*_i - a_i| <= C/n,
@@ -113,11 +114,18 @@ def assert_matches_reference(db, kernel, C, tol=1e-8):
     """
     Q = independent_q(db, kernel)
     upper = C / db.n
-    model = solve_svm_dual(db, kernel, C, tol=tol)
+    model = solve_svm_dual(db, kernel, C, tol=tol, max_sweeps=max_sweeps)
     assert mask_residual(model.alphas, 1.0 - Q @ model.alphas, upper) <= tol
     objective = float(model.alphas.sum() - 0.5 * (model.alphas @ (Q @ model.alphas)))
     assert abs(objective - full_cycle_dual(Q, upper, tol)) <= C * tol
     return model
+
+
+def face_instance():
+    """train-exact's shape at n=100: rbf sigma=1, C=1000, about 28 free coefficients."""
+    rng = np.random.default_rng(0)
+    db = Database(rng.uniform(-1, 1, (100, 4)), rng.choice([-1.0, 1.0], 100))
+    return db, rbf_kernel(1.0), 1000.0
 
 
 def random_instance(rng, n=3, d=2, C=1.0):
@@ -245,8 +253,7 @@ def test_active_set_matches_full_cycle_reference(kernel, C):
 
 def test_monotone_objective_trace():
     rng = np.random.default_rng(17)
-    for _ in range(5):
-        db, kernel, C = random_instance(rng, n=12)
+    for db, kernel, C in [random_instance(rng, n=12) for _ in range(5)] + [face_instance()]:
         model = solve_svm_dual(db, kernel, C)
         trace = model.objective_trace
         assert len(trace) == model.sweeps
@@ -271,13 +278,14 @@ def test_feasibility_after_every_sweep():
 
 def test_solver_determinism():
     rng = np.random.default_rng(8)
-    db = Database(rng.uniform(-1, 1, (15, 2)), rng.choice([-1.0, 1.0], 15))
-    a = solve_svm_dual(db, rbf_kernel(0.8), 1.0)
-    b = solve_svm_dual(db, rbf_kernel(0.8), 1.0)
-    assert np.array_equal(a.alphas, b.alphas)
-    assert a.objective == b.objective
-    assert a.sweeps == b.sweeps
-    assert a.objective_trace == b.objective_trace
+    small = Database(rng.uniform(-1, 1, (15, 2)), rng.choice([-1.0, 1.0], 15))
+    for db, kernel, C in [(small, rbf_kernel(0.8), 1.0), face_instance()]:
+        a = solve_svm_dual(db, kernel, C)
+        b = solve_svm_dual(db, kernel, C)
+        assert np.array_equal(a.alphas, b.alphas)
+        assert a.objective == b.objective
+        assert a.sweeps == b.sweeps
+        assert a.objective_trace == b.objective_trace
 
 
 def test_label_flip_negates_weights():
@@ -314,6 +322,37 @@ def test_degenerate_coordinates_enter_and_leave_active_set(C):
     assert np.all(info.value.alphas[[0, 5, 11]] == C / 12)
     model = assert_matches_reference(db, linear_kernel(), C)
     assert np.all(model.alphas[[0, 5, 11]] == C / 12)
+
+
+def test_face_step_reaches_face_optimum():
+    # once the bound set settles, one linear solve on the ~28 free coefficients
+    # lands on the face's exact optimum; coordinate ascent alone stops near tol
+    db, kernel, C = face_instance()
+    model = assert_matches_reference(db, kernel, C)
+    Q = independent_q(db, kernel)
+    assert mask_residual(model.alphas, 1.0 - Q @ model.alphas, C / db.n) <= 1e-12
+
+
+def test_face_step_survives_cycling_and_singular_faces():
+    # a sensitivity-audit trial (linear kernel, d=2) whose singular 3-coordinate
+    # face made an unguarded face step cycle forever; the ascent test stops it
+    rng = child_rng(5083645093440689066, 49)
+    points = rng.uniform(-1, 1, (50, 2))
+    labels = rng.integers(0, 2, size=50) * 2.0 - 1.0
+    shift = int(rng.integers(0, 50))
+    db = Database(np.roll(points, shift, axis=0), np.roll(labels, shift))
+    assert_matches_reference(db, linear_kernel(), 10.0, max_sweeps=1000)
+    # every point twice: both copies of two points end free, so the face
+    # matrix has two pairs of identical columns and the face solve must be skipped
+    rng = np.random.default_rng(1)
+    points = np.tile(rng.uniform(-1, 1, (6, 2)), (2, 1))
+    labels = np.tile(rng.choice([-1.0, 1.0], 6), 2)
+    db = Database(points, labels)
+    model = assert_matches_reference(db, linear_kernel(), 100.0, max_sweeps=1000)
+    free = np.flatnonzero((model.alphas > 0.0) & (model.alphas < 100.0 / 12))
+    assert free.tolist() == [0, 2, 6, 8]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(independent_q(db, linear_kernel())[np.ix_(free, free)], np.ones(4))
 
 
 def test_kkt_residual_matches_mask_definition():
