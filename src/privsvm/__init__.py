@@ -22,7 +22,6 @@ from .audit import (
     privacy_ratio_audit,
     rbf_packing_family,
     sensitivity_audit,
-    sup_norm_distance,
     utility_audit,
 )
 from .data import (
@@ -47,7 +46,6 @@ from .kernels import (
     spectral_second_moment,
 )
 from .mechanisms import (
-    IDENTITY_MAP,
     CalibrationReport,
     PrivateModel,
     calibrate_noise_privacy_finite,
@@ -60,6 +58,9 @@ from .mechanisms import (
     optimal_dp_lower_bound_linear,
     optimal_dp_lower_bound_rbf,
     optimal_dp_upper_bound_hinge,
+    rbf_packing_size,
+    sensitivity_finite,
+    sensitivity_rff,
     train_private_finite,
     train_private_rff,
 )
@@ -68,6 +69,7 @@ from .noise import erlang_tail_probability, sample_laplace
 from .rff import (
     CalibrationError,
     RandomFeatureMap,
+    approx_failure_bound,
     calibrate_rff_dim,
     displacement_kernel,
     rff_features,

@@ -26,8 +26,14 @@ from .kernels import (
     rbf_kernel,
     spectral_second_moment,
 )
-from .mechanisms import RBF_SIGMA_CEILING, train_private_rff
-from .rff import RandomFeatureMap, displacement_kernel
+from .mechanisms import (
+    PrivateModel,
+    calibrate_noise_privacy_finite,
+    rbf_packing_size,
+    sensitivity_finite,
+    train_private_rff,
+)
+from .rff import RandomFeatureMap, approx_failure_bound, displacement_kernel
 from .solver import decision_values, primal_weights, solve_svm_dual
 
 __all__ = [
@@ -39,7 +45,6 @@ __all__ = [
     "linear_separation_pair",
     "rbf_packing_family",
     "default_grid_resolution",
-    "sup_norm_distance",
     "sensitivity_audit",
     "utility_audit",
     "kernel_approx_audit",
@@ -186,11 +191,7 @@ def rbf_packing_family(C: float, n: int, sigma: float) -> LowerBoundFamily:
         raise ValueError("n must exceed C")
     if n <= 1:
         raise ValueError("n must exceed 1")
-    if not 0 < sigma < RBF_SIGMA_CEILING:
-        raise ValueError(
-            f"sigma must lie in (0, {RBF_SIGMA_CEILING:.4f}) for the packing family"
-        )
-    N = math.floor((2.0 / sigma) * math.sqrt(2.0 / math.log(2.0)))
+    N = rbf_packing_size(sigma)
     databases = []
     for i in range(1, N + 1):
         theta = 2.0 * math.pi * i / N
@@ -222,16 +223,6 @@ def default_grid_resolution(d: int) -> int:
     raise ValueError("choose a grid resolution explicitly for d > 4")
 
 
-def sup_norm_distance(f, g, box: DomainBox, grid_resolution: int) -> float:
-    """Max of |f(x) - g(x)| over a regular grid on the box."""
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be at least 2")
-    worst = 0.0
-    for x in box.grid(grid_resolution):
-        worst = max(worst, abs(float(f(x)) - float(g(x))))
-    return worst
-
-
 def sensitivity_audit(
     trials: int, n: int, C: float, box: DomainBox, seed: int
 ) -> AuditReport:
@@ -241,9 +232,9 @@ def sensitivity_audit(
     labels, rotates it by a random offset (so every position gets its turn as
     the differing entry), replaces the last entry, trains the exact
     linear-map SVM on both, and records |w - w'|_1. The bound is
-    4 C kappa sqrt(F) / n with kappa the largest point norm in the box and
-    F = d; the bound always holds, so any observed violation is an
-    implementation defect.
+    sensitivity_finite(1, C, kappa, d, n) = 4 C kappa sqrt(d) / n with kappa
+    the largest point norm in the box; the bound always holds, so any
+    observed violation is an implementation defect.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -264,7 +255,7 @@ def sensitivity_audit(
                 - primal_weights(solve_svm_dual(neighbor, linear_kernel(), C)))
         worst = max(worst, float(np.abs(diff).sum()))
     kappa = box.max_l2_norm()
-    bound = 4.0 * C * kappa * math.sqrt(d) / n
+    bound = sensitivity_finite(1.0, C, kappa, d, n)
     return AuditReport(
         name="sensitivity",
         trials=trials,
@@ -294,11 +285,12 @@ def utility_audit(
     non-private reference in sup-norm over the domain.
 
     The reference is the exact SVM on the same feature map (finite mechanism)
-    or on the exact kernel (rff mechanism). The sup-norm is measured on a
-    regular grid over the box, augmented with the training points so the
-    hinge-risk transfer check (mean hinge gap <= sup gap, hinge being
-    1-Lipschitz) is exact. Passing means the failure fraction is at most
-    delta.
+    or on the exact kernel (rff mechanism). Each trial evaluates the released
+    PrivateModel (finite: the reference weights plus the mechanism's noise
+    draws; rff: a `train_private_rff` run) on a regular grid over the box,
+    augmented with the training points so the hinge-risk transfer check
+    (mean hinge gap <= sup gap, hinge being 1-Lipschitz) is exact. Passing
+    means the failure fraction is at most delta.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive")
@@ -309,36 +301,32 @@ def utility_audit(
     box = box if box is not None else bounding_box(db)
     eval_points = np.vstack([box.grid(grid_resolution), db.points])
     y = db.labels
-    failures = 0
-    hinge_violation = 0.0
 
     if params.mechanism == "finite":
         w_ref = primal_weights(solve_svm_dual(db, linear_kernel(), params.C))
         ref_vals = eval_points @ w_ref
-        ref_hinge = _mean_hinge(y * (db.points @ w_ref))
-        for t in range(trials):
-            mu = _mechanisms._draw_noise(params.lam, db.dim, child_rng(seed, t))
-            vals = eval_points @ (w_ref + mu)
-            sup = float(np.max(np.abs(vals - ref_vals)))
-            if sup > eps:
-                failures += 1
-            trial_hinge = _mean_hinge(y * (db.points @ (w_ref + mu)))
-            hinge_violation = max(hinge_violation, abs(trial_hinge - ref_hinge) - sup)
+
+        def release(rng):
+            mu = _mechanisms._draw_noise(params.lam, db.dim, rng)
+            return PrivateModel(w_ref + mu, linear_kernel(), params.C, params.lam,
+                                n=db.n, dim=db.dim)
     else:
-        ref_model = solve_svm_dual(db, params.kernel, params.C)
-        ref_vals = decision_values(ref_model, eval_points)
-        ref_hinge = _mean_hinge(y * decision_values(ref_model, db.points))
-        for t in range(trials):
-            private = train_private_rff(
-                db, params.kernel, params.C, params.lam, params.d_hat,
-                child_rng(seed, t),
-            )
-            vals = private.decision_values(eval_points)
-            sup = float(np.max(np.abs(vals - ref_vals)))
-            if sup > eps:
-                failures += 1
-            trial_hinge = _mean_hinge(y * private.decision_values(db.points))
-            hinge_violation = max(hinge_violation, abs(trial_hinge - ref_hinge) - sup)
+        ref_vals = decision_values(solve_svm_dual(db, params.kernel, params.C), eval_points)
+
+        def release(rng):
+            return train_private_rff(db, params.kernel, params.C, params.lam, params.d_hat, rng)
+
+    # The training points are the last n evaluation points.
+    ref_hinge = _mean_hinge(y * ref_vals[-db.n:])
+    failures = 0
+    hinge_violation = 0.0
+    for t in range(trials):
+        vals = release(child_rng(seed, t)).decision_values(eval_points)
+        sup = float(np.max(np.abs(vals - ref_vals)))
+        if sup > eps:
+            failures += 1
+        trial_hinge = _mean_hinge(y * vals[-db.n:])
+        hinge_violation = max(hinge_violation, abs(trial_hinge - ref_hinge) - sup)
 
     statistic = failures / trials
     return AuditReport(
@@ -396,15 +384,9 @@ def kernel_approx_audit(
         if sup >= eps:
             failures += 1
     statistic = failures / trials
-    sigma_p2 = spectral_second_moment(kernel, d)
-    diam = box.diameter()
-    if math.isfinite(sigma_p2):
-        delta_inverted = (
-            2.0**8 * sigma_p2 * diam**2 / eps**2
-            * math.exp(-d_hat * eps**2 / (4.0 * (d + 2)))
-        )
-    else:
-        delta_inverted = math.inf
+    delta_inverted = approx_failure_bound(
+        eps, d_hat, d, spectral_second_moment(kernel, d), box.diameter()
+    )
     bound = min(1.0, delta_inverted)
     return AuditReport(
         name="kernel_approx",
@@ -484,10 +466,11 @@ def privacy_ratio_audit(
         float(np.max(np.linalg.norm(db1.points, axis=1))),
         float(np.max(np.linalg.norm(db2.points, axis=1))),
     )
-    lam_required = 4.0 * params.C * kappa * math.sqrt(d) / (beta * db1.n)
     details = {
         "lambda": params.lam,
-        "lambda_required_for_beta": lam_required,
+        "lambda_required_for_beta": calibrate_noise_privacy_finite(
+            1.0, params.C, kappa, d, beta, db1.n
+        ),
         "beta": beta,
         "bins": bins,
         "coordinate_index": coordinate_index,
@@ -537,15 +520,12 @@ def packing_separation_audit(C: float, n: int, sigma: float) -> AuditReport:
     last_alphas = [float(m.alphas[-1]) for m in models]
 
     N = family.params["N"]
-    worst = math.inf
-    for i, model_i in enumerate(models):
-        probe = family.databases[i].points[-1]
-        f_ii = float(decision_values(model_i, probe[None, :])[0])
-        for j, model_j in enumerate(models):
-            if i == j:
-                continue
-            f_ji = float(decision_values(model_j, probe[None, :])[0])
-            worst = min(worst, abs(f_ii - f_ji))
+    probes = np.array([db.points[-1] for db in family.databases])
+    # values[j, i] = f_j(x_{i,last}); each model is evaluated once on all probes
+    values = np.array([decision_values(model, probes) for model in models])
+    gaps = np.abs(values - np.diag(values))
+    np.fill_diagonal(gaps, math.inf)
+    worst = float(gaps.min())
     refined = (
         1.0 - math.exp(-(2.0 / sigma**2) * math.sin(math.pi / N) ** 2)
     ) * C / n

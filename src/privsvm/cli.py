@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +56,10 @@ def _claimed_from_args(args) -> dict:
 
 def _box_from_args(args, dim: int) -> DomainBox:
     return DomainBox(np.full(dim, args.box_min), np.full(dim, args.box_max))
+
+
+def _grid_from_args(args, dim: int) -> int:
+    return audit_mod.default_grid_resolution(dim) if args.grid is None else args.grid
 
 
 def _cmd_train(args) -> int:
@@ -166,14 +171,16 @@ def _cmd_audit(args) -> int:
             )
         else:
             params = audit_mod.MechanismParams("finite", args.c, args.lam)
+        grid = _grid_from_args(args, db.dim)
         report = audit_mod.utility_audit(
-            db, params, args.eps, args.delta, args.trials, args.grid, args.seed
+            db, params, args.eps, args.delta, args.trials, grid, args.seed
         )
     elif name == "kernel-approx":
         kernel = _kernel_from_args(args)
         box = _box_from_args(args, args.dim)
+        grid = _grid_from_args(args, args.dim)
         report = audit_mod.kernel_approx_audit(
-            kernel, args.d_hat, box, args.eps, args.trials, args.grid, args.seed
+            kernel, args.d_hat, box, args.eps, args.trials, grid, args.seed
         )
     elif name == "privacy-ratio":
         db1 = load_csv(args.data, has_header=args.header)
@@ -202,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rbf bandwidth (rbf kernel only)")
 
     p = sub.add_parser("train", help="train a non-private SVM")
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", type=Path, required=True)
     add_kernel_flags(p)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--out", required=True)
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("private-train-finite",
                        help="train and release noisy linear weights")
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", type=Path, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -226,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("private-train-rff",
                        help="train in a random feature space and release noisy weights")
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", type=Path, required=True)
     add_kernel_flags(p)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -261,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "privacy-ratio", "separation"))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--data", default=None)
-    p.add_argument("--data2", default=None)
+    p.add_argument("--data", type=Path, default=None)
+    p.add_argument("--data2", type=Path, default=None)
     p.add_argument("--header", action="store_true")
     p.add_argument("--mechanism", choices=("finite", "rff"), default="finite")
     p.add_argument("--kernel", choices=_KERNEL_CHOICES, default="rbf")
@@ -284,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="decision values and signs for data rows")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", type=Path, required=True)
     p.add_argument("--header", action="store_true")
     p.set_defaults(func=_cmd_predict)
 
@@ -309,13 +316,13 @@ def _validate_audit_args(parser, args) -> None:
         "privacy-ratio": ("data", "data2", "lam", "beta"),
         "separation": ("sigma",),
     }.get(args.name, ())
+    if args.name == "utility" and args.mechanism == "rff":
+        needs += ("d_hat",)
     flag_names = {"lam": "--lambda", "d_hat": "--d-hat"}
     for field in needs:
         if getattr(args, field) is None:
             flag = flag_names.get(field, "--" + field)
             parser.error(f"audit --name {args.name} requires {flag}")
-    if args.grid is None:
-        args.grid = audit_mod.default_grid_resolution(args.dim)
 
 
 def main(argv=None) -> int:

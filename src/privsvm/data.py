@@ -168,7 +168,7 @@ def _read_text(source) -> str:
         return data.decode("utf-8") if isinstance(data, bytes) else data
     if isinstance(source, bytes):
         return source.decode("utf-8")
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
+    if isinstance(source, os.PathLike) or (isinstance(source, str) and os.path.exists(source)):
         with open(source, "rb") as fh:
             return fh.read().decode("utf-8")
     if isinstance(source, str):
@@ -180,9 +180,10 @@ def read_rows(source, has_header: bool = False) -> tuple[np.ndarray, list[int]]:
     """Parse comma-separated rows of reals into an (m, width) matrix.
 
     Accepts a path, bytes, text, or a readable stream; UTF-8 with LF or CRLF
-    endings. Blank rows are skipped, and so is the first row when
-    `has_header` is set. Returns the matrix and each row's line number; every
-    row must have the first row's width.
+    endings. An os.PathLike is always opened; a str is opened when it names an
+    existing file and parsed as CSV text otherwise. Blank rows are skipped,
+    and so is the first row when `has_header` is set. Returns the matrix and
+    each row's line number; every row must have the first row's width.
     """
     text = _read_text(source)
     rows = []

@@ -1,17 +1,19 @@
 """Release mechanisms for SVM learning and their closed-form calibrations.
 
 Two private mechanisms are provided, both output perturbations of the primal
-weight vector:
+weight vector on a finite feature map:
 
-* `train_private_finite` trains on the identity-linear feature map phi(x) = x
-  (F = d) and releases w + Laplace noise.
+* `train_private_finite` trains on the linear kernel, whose feature map is
+  phi(x) = x (F = d), and releases w + Laplace noise.
 * `train_private_rff` draws a random cosine/sine feature map for a
   translation-invariant kernel, trains in that 2*d_hat-dimensional space, and
   releases the noisy weights together with the spectral vectors.
 
-The calibration functions convert between the noise scale lambda, the privacy
-level beta, and the (eps, delta) accuracy target; lambda is always chosen by
-the caller, never silently picked here.
+Each guarantee formula is written here once, for the calibrations, reports
+and audits alike: the l1 sensitivities `sensitivity_finite` and
+`sensitivity_rff` (noise scale = sensitivity / beta, achieved privacy level =
+sensitivity / lambda) and the rbf packing size `rbf_packing_size`. lambda is
+always chosen by the caller, never silently picked here.
 """
 
 from __future__ import annotations
@@ -24,15 +26,17 @@ import numpy as np
 from . import noise
 from .data import Database
 from .kernels import KernelSpec, linear_kernel
-from .rff import CalibrationError, RandomFeatureMap, feature_matrix
-from .solver import as_points, primal_weights, solve_svm_dual
+from .rff import RandomFeatureMap, calibrate_rff_dim
+from .solver import as_points, features, primal_weights, solve_svm_dual
 
 __all__ = [
-    "IDENTITY_MAP",
     "PrivateModel",
     "CalibrationReport",
     "train_private_finite",
     "train_private_rff",
+    "sensitivity_finite",
+    "sensitivity_rff",
+    "rbf_packing_size",
     "calibrate_noise_privacy_finite",
     "calibrate_noise_privacy_rff",
     "calibrate_noise_utility_finite",
@@ -44,8 +48,6 @@ __all__ = [
     "optimal_dp_lower_bound_linear",
     "optimal_dp_lower_bound_rbf",
 ]
-
-IDENTITY_MAP = "identity-linear"
 
 # Largest rbf bandwidth admitted by the packing lower bound.
 RBF_SIGMA_CEILING = math.sqrt(1.0 / (2.0 * math.log(2.0)))
@@ -61,15 +63,15 @@ def _draw_noise(scale, count, rng):
 class PrivateModel:
     """Released artifact: noisy weights plus the data-independent description.
 
-    `feature_map` is either IDENTITY_MAP or a RandomFeatureMap; `claimed`
-    records the guarantee metadata (beta or eps/delta plus calibration
-    inputs) asserted by the caller. The training coefficients and examples
-    are deliberately absent.
+    `feature_map` is the finite map the weights live on: `linear_kernel()`
+    (phi(x) = x, dim weights) or a RandomFeatureMap (2*d_hat weights).
+    `claimed` records the guarantee metadata (beta or eps/delta plus
+    calibration inputs) asserted by the caller. The training coefficients and
+    examples are deliberately absent.
     """
 
     weights: np.ndarray
-    feature_map: object
-    kernel: KernelSpec
+    feature_map: KernelSpec | RandomFeatureMap
     C: float
     lam: float
     claimed: dict = field(default_factory=dict)
@@ -82,14 +84,14 @@ class PrivateModel:
         weights.setflags(write=False)
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        if self.feature_map == IDENTITY_MAP:
-            if weights.shape != (self.dim,):
-                raise ValueError("identity map weights must have length dim")
-        elif isinstance(self.feature_map, RandomFeatureMap):
-            if weights.shape != (self.feature_map.feature_dim,):
-                raise ValueError("weights must have length 2*d_hat")
+        if isinstance(self.feature_map, RandomFeatureMap):
+            width = self.feature_map.feature_dim
+        elif self.feature_map == linear_kernel():
+            width = self.dim
         else:
-            raise ValueError("feature_map must be IDENTITY_MAP or a RandomFeatureMap")
+            raise ValueError("feature_map must be linear_kernel() or a RandomFeatureMap")
+        if weights.shape != (width,):
+            raise ValueError(f"weights must have length {width}")
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite")
         object.__setattr__(self, "weights", weights)
@@ -98,10 +100,7 @@ class PrivateModel:
         return float(self.decision_values(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
-        X = as_points(X, self.dim)
-        if self.feature_map == IDENTITY_MAP:
-            return X @ self.weights
-        return feature_matrix(self.feature_map, X) @ self.weights
+        return features(self.feature_map, as_points(X, self.dim)) @ self.weights
 
     def __eq__(self, other):
         if not isinstance(other, PrivateModel):
@@ -109,29 +108,19 @@ class PrivateModel:
         return (
             np.array_equal(self.weights, other.weights)
             and self.feature_map == other.feature_map
-            and self.kernel == other.kernel
             and (self.C, self.lam, self.claimed, self.n, self.dim, self.seed)
             == (other.C, other.lam, other.claimed, other.n, other.dim, other.seed)
         )
 
 
-def train_private_finite(
-    db: Database, C: float, lam: float, rng, claimed: dict | None = None,
-    seed: int | None = None,
-) -> PrivateModel:
-    """Train on the identity-linear map and release noisy weights.
-
-    The released vector is sum_i a_i y_i x_i plus d i.i.d. Laplace(0, lam)
-    draws from `rng`.
-    """
+def _release(db, fmap, C, lam, rng, claimed, seed) -> PrivateModel:
+    # Solve exactly on the map, then add one Laplace(0, lam) draw per weight.
     if lam <= 0:
         raise ValueError("lam must be positive")
-    w = primal_weights(solve_svm_dual(db, linear_kernel(), C))
-    w_hat = w + _draw_noise(lam, db.dim, rng)
+    w = primal_weights(solve_svm_dual(db, fmap, C))
     return PrivateModel(
-        weights=w_hat,
-        feature_map=IDENTITY_MAP,
-        kernel=linear_kernel(),
+        weights=w + _draw_noise(lam, w.size, rng),
+        feature_map=fmap,
         C=float(C),
         lam=float(lam),
         claimed=dict(claimed or {}),
@@ -139,6 +128,18 @@ def train_private_finite(
         dim=db.dim,
         seed=seed,
     )
+
+
+def train_private_finite(
+    db: Database, C: float, lam: float, rng, claimed: dict | None = None,
+    seed: int | None = None,
+) -> PrivateModel:
+    """Train on the linear kernel's map phi(x) = x and release noisy weights.
+
+    The released vector is sum_i a_i y_i x_i plus d i.i.d. Laplace(0, lam)
+    draws from `rng`.
+    """
+    return _release(db, linear_kernel(), C, lam, rng, claimed, seed)
 
 
 def train_private_rff(
@@ -151,24 +152,10 @@ def train_private_rff(
     the 2*d_hat Laplace noise scalars, so a fixed generator state determines
     the whole response.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     if d_hat < 1:
         raise ValueError("d_hat must be positive")
     fmap = RandomFeatureMap.from_rng(kernel, db.dim, d_hat, rng)
-    w = primal_weights(solve_svm_dual(db, fmap, C))
-    w_hat = w + _draw_noise(lam, 2 * d_hat, rng)
-    return PrivateModel(
-        weights=w_hat,
-        feature_map=fmap,
-        kernel=kernel,
-        C=float(C),
-        lam=float(lam),
-        claimed=dict(claimed or {}),
-        n=db.n,
-        dim=db.dim,
-        seed=seed,
-    )
+    return _release(db, fmap, C, lam, rng, claimed, seed)
 
 
 def _require_positive(**values):
@@ -177,32 +164,51 @@ def _require_positive(**values):
             raise ValueError(f"{name} must be positive")
 
 
+def sensitivity_finite(L: float, C: float, kappa: float, F: int, n: int) -> float:
+    """Bound 4 L C kappa sqrt(F) / n on |w - w'|_1 for neighbouring databases
+    of size n, on an F-dimensional map with sqrt(k(x, x)) <= kappa and an
+    L-Lipschitz loss."""
+    _require_positive(L=L, C=C, kappa=kappa, F=F)
+    if n <= 1:
+        raise ValueError("n must exceed 1")
+    return 4.0 * L * C * kappa * math.sqrt(F) / n
+
+
+def sensitivity_rff(L: float, C: float, d_hat: int, n: int) -> float:
+    """l1 sensitivity 2^2.5 L C sqrt(d_hat) / n of the random-feature weights;
+    the map has unit norm and 2*d_hat coordinates, hence the 2^2.5."""
+    _require_positive(L=L, C=C, d_hat=d_hat)
+    if n <= 1:
+        raise ValueError("n must exceed 1")
+    return 2.0**2.5 * L * C * math.sqrt(d_hat) / n
+
+
+def rbf_packing_size(sigma: float) -> int:
+    """Size N = floor((2 / sigma) sqrt(2 / ln 2)) of the rbf packing family;
+    requires 0 < sigma < sqrt(1 / (2 ln 2)) ~= 0.8493."""
+    if not 0 < sigma < RBF_SIGMA_CEILING:
+        raise ValueError(
+            f"sigma must lie in (0, {RBF_SIGMA_CEILING:.4f}) for the packing bound"
+        )
+    return math.floor((2.0 / sigma) * math.sqrt(2.0 / math.log(2.0)))
+
+
 def calibrate_noise_privacy_finite(
     L: float, C: float, kappa: float, F: int, beta: float, n: int
 ) -> float:
-    """Smallest noise scale giving beta-privacy on an F-dimensional map.
-
-    4 L C kappa sqrt(F) / (beta n), where L is the loss Lipschitz constant and
-    kappa bounds sqrt(k(x, x)).
-    """
-    _require_positive(L=L, C=C, kappa=kappa, F=F, beta=beta)
-    if n <= 1:
-        raise ValueError("n must exceed 1")
-    return 4.0 * L * C * kappa * math.sqrt(F) / (beta * n)
+    """Smallest noise scale giving beta-privacy on an F-dimensional map:
+    `sensitivity_finite(L, C, kappa, F, n) / beta`."""
+    _require_positive(beta=beta)
+    return sensitivity_finite(L, C, kappa, F, n) / beta
 
 
 def calibrate_noise_privacy_rff(
     L: float, C: float, d_hat: int, beta: float, n: int
 ) -> float:
-    """Smallest noise scale giving beta-privacy for the random-feature mechanism.
-
-    2^2.5 L C sqrt(d_hat) / (beta n); the feature map has unit norm and 2*d_hat
-    coordinates, which is where the 2^2.5 comes from.
-    """
-    _require_positive(L=L, C=C, d_hat=d_hat, beta=beta)
-    if n <= 1:
-        raise ValueError("n must exceed 1")
-    return 2.0**2.5 * L * C * math.sqrt(d_hat) / (beta * n)
+    """Smallest noise scale giving beta-privacy for the random-feature
+    mechanism: `sensitivity_rff(L, C, d_hat, n) / beta`."""
+    _require_positive(beta=beta)
+    return sensitivity_rff(L, C, d_hat, n) / beta
 
 
 def calibrate_noise_utility_finite(eps: float, delta: float, Phi: float, F: int) -> float:
@@ -238,21 +244,16 @@ def calibrate_rff_dim_hinge(
     against the exact-kernel hinge SVM.
 
     Uses theta(eps) = min{1, eps^4 / (2^12 C^4)} (hinge loss: L = 1 and the
-    coefficient l1-norm is bounded by C) and returns
+    coefficient l1-norm is bounded by C): the random kernel must be
+    sqrt(theta)-close to the exact one except with probability delta / 2, so
+    this is `calibrate_rff_dim(sqrt(theta), delta / 2, d, sigma_p, diam)`,
     ceil((4 (d+2) / theta) * ln(2^9 (sigma_p diam)^2 / (delta theta))).
     """
-    _require_positive(eps=eps, C=C, d=d, diam=diam)
+    _require_positive(eps=eps, C=C)
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if not math.isfinite(sigma_p) or sigma_p <= 0:
-        raise CalibrationError(
-            "spectral second moment is not finite; choose d_hat manually"
-        )
     theta = min(1.0, eps**4 / (2.0**12 * C**4))
-    bound = (4.0 * (d + 2) / theta) * math.log(
-        2.0**9 * (sigma_p * diam) ** 2 / (delta * theta)
-    )
-    return max(1, math.ceil(bound))
+    return calibrate_rff_dim(math.sqrt(theta), delta / 2, d, sigma_p, diam)
 
 
 @dataclass(frozen=True)
@@ -285,20 +286,17 @@ def optimal_dp_upper_bound_hinge(
     """Best privacy level the rff mechanism certifies at an (eps, delta) target.
 
     Picks d_hat by `calibrate_rff_dim_hinge`, sets lambda to the utility
-    ceiling, and reports beta = 2^2.5 C sqrt(d_hat) / (lambda n). By
+    ceiling, and reports beta = sensitivity_rff(1, C, d_hat, n) / lambda. By
     construction the window is exactly closed, so the report is feasible.
     """
-    if n <= 1:
-        raise ValueError("n must exceed 1")
     d_hat = calibrate_rff_dim_hinge(eps, delta, C, d, sigma_p, diam)
     lam_max = calibrate_noise_utility_rff(eps, delta, d_hat)
-    beta = 2.0**2.5 * C * math.sqrt(d_hat) / (lam_max * n)
     return CalibrationReport(
         lambda_min_privacy=lam_max,
         lambda_max_utility=lam_max,
         d_hat=d_hat,
         feasible=True,
-        beta_achievable=beta,
+        beta_achievable=sensitivity_rff(1.0, C, d_hat, n) / lam_max,
     )
 
 
@@ -309,13 +307,12 @@ def calibration_report_finite(
     """Both sides of the noise window for the finite mechanism at a given beta."""
     lam_min = calibrate_noise_privacy_finite(L, C, kappa, F, beta, n)
     lam_max = calibrate_noise_utility_finite(eps, delta, Phi, F)
-    beta_ach = 4.0 * L * C * kappa * math.sqrt(F) / (lam_max * n)
     return CalibrationReport(
         lambda_min_privacy=lam_min,
         lambda_max_utility=lam_max,
         d_hat=None,
         feasible=lam_min <= lam_max,
-        beta_achievable=beta_ach,
+        beta_achievable=sensitivity_finite(L, C, kappa, F, n) / lam_max,
     )
 
 
@@ -327,13 +324,12 @@ def calibration_report_rff(
     d_hat = calibrate_rff_dim_hinge(eps, delta, C, d, sigma_p, diam)
     lam_min = calibrate_noise_privacy_rff(L, C, d_hat, beta, n)
     lam_max = calibrate_noise_utility_rff(eps, delta, d_hat)
-    beta_ach = 2.0**2.5 * L * C * math.sqrt(d_hat) / (lam_max * n)
     return CalibrationReport(
         lambda_min_privacy=lam_min,
         lambda_max_utility=lam_max,
         d_hat=d_hat,
         feasible=lam_min <= lam_max,
-        beta_achievable=beta_ach,
+        beta_achievable=sensitivity_rff(L, C, d_hat, n) / lam_max,
     )
 
 
@@ -348,15 +344,9 @@ def optimal_dp_lower_bound_linear(delta: float) -> float:
 def optimal_dp_lower_bound_rbf(delta: float, sigma: float) -> tuple[int, float]:
     """Packing lower bound for the rbf-kernel hinge SVM.
 
-    Returns (N, ln((1 - delta) (N - 1) / delta)) with
-    N = floor((2 / sigma) sqrt(2 / ln 2)); requires
-    0 < sigma < sqrt(1 / (2 ln 2)) ~= 0.8493.
+    Returns (N, ln((1 - delta) (N - 1) / delta)) with N = rbf_packing_size(sigma).
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if not 0 < sigma < RBF_SIGMA_CEILING:
-        raise ValueError(
-            f"sigma must lie in (0, {RBF_SIGMA_CEILING:.4f}) for the packing bound"
-        )
-    N = math.floor((2.0 / sigma) * math.sqrt(2.0 / math.log(2.0)))
+    N = rbf_packing_size(sigma)
     return N, math.log((1.0 - delta) * (N - 1) / delta)

@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .data import Database
-from .kernels import KernelSpec
-from .mechanisms import IDENTITY_MAP, PrivateModel
+from .kernels import KernelSpec, linear_kernel
+from .mechanisms import PrivateModel
 from .rff import RandomFeatureMap
 from .solver import SvmModel, primal_weights
 
@@ -89,9 +89,11 @@ def _svm_doc(model: SvmModel) -> dict:
 
 
 def _private_doc(model: PrivateModel) -> dict:
+    fmap = model.feature_map
+    is_rff = isinstance(fmap, RandomFeatureMap)
     doc = {
         "format_version": FORMAT_VERSION,
-        "kernel": model.kernel.to_doc(),
+        "kernel": (fmap.kernel if is_rff else fmap).to_doc(),
         "C": float(model.C),
         "lambda": float(model.lam),
         "weights": [float(v) for v in model.weights],
@@ -101,13 +103,12 @@ def _private_doc(model: PrivateModel) -> dict:
     }
     if model.seed is not None:
         doc["seed"] = int(model.seed)
-    if model.feature_map == IDENTITY_MAP:
-        doc["mechanism"] = "private_finite"
-    else:
-        fmap = model.feature_map
+    if is_rff:
         doc["mechanism"] = "private_rff"
         doc["d_hat"] = fmap.d_hat
         doc["omegas"] = [[float(v) for v in row] for row in fmap.omegas]
+    else:
+        doc["mechanism"] = "private_finite"
     for key in _RELEASED_FORBIDDEN:
         if key in doc:
             raise AssertionError(f"release contract violated: {key!r} in private model")
@@ -137,16 +138,17 @@ def model_from_doc(doc: dict):
             sweeps=int(doc["sweeps"]),
         )
     if mechanism in ("private_finite", "private_rff"):
-        if mechanism == "private_finite":
-            fmap = IDENTITY_MAP
+        if mechanism == "private_rff":
+            fmap = RandomFeatureMap(np.asarray(doc["omegas"], dtype=np.float64), kernel)
+        elif kernel == linear_kernel():
+            fmap = kernel
         else:
-            fmap = RandomFeatureMap(
-                np.asarray(doc["omegas"], dtype=np.float64), kernel
+            raise ValueError(
+                f"a private_finite model must name the linear kernel, not {kernel.family}"
             )
         return PrivateModel(
             weights=np.asarray(doc["weights"], dtype=np.float64),
             feature_map=fmap,
-            kernel=kernel,
             C=float(doc["C"]),
             lam=float(doc["lambda"]),
             claimed=dict(doc.get("claimed", {})),

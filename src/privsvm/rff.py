@@ -25,6 +25,7 @@ __all__ = [
     "feature_matrix",
     "rff_kernel",
     "displacement_kernel",
+    "approx_failure_bound",
     "calibrate_rff_dim",
 ]
 
@@ -125,12 +126,22 @@ def displacement_kernel(m: RandomFeatureMap, deltas: np.ndarray) -> np.ndarray:
     return np.mean(np.cos(deltas @ m.omegas.T), axis=1)
 
 
+def approx_failure_bound(eps: float, d_hat: int, d: int, sigma_p2: float, diam: float) -> float:
+    """Bound 2^8 (sigma_p diam / eps)^2 exp(-d_hat eps^2 / (4 (d+2))) on
+    P(sup |approx - true kernel| >= eps), with sigma_p2 = sigma_p^2 the spectral
+    second moment (infinite if it diverges); `calibrate_rff_dim` inverts it."""
+    if not math.isfinite(sigma_p2):
+        return math.inf
+    return 2.0**8 * sigma_p2 * diam**2 / eps**2 * math.exp(-d_hat * eps**2 / (4.0 * (d + 2)))
+
+
 def calibrate_rff_dim(eps: float, delta: float, d: int, sigma_p: float, diam: float) -> int:
     """Smallest d_hat guaranteeing sup |approx - true kernel| < eps w.p. >= 1 - delta.
 
-    Evaluates ceil((4 (d+2) / eps^2) * ln(2^8 (sigma_p * diam)^2 / (delta eps^2)))
-    where sigma_p^2 is the spectral second moment and diam the diameter of the
-    domain. Fails for kernels whose spectral second moment diverges.
+    Evaluates ceil((4 (d+2) / eps^2) * ln(2^8 (sigma_p * diam)^2 / (delta eps^2))),
+    the d_hat at which `approx_failure_bound` falls to delta, where sigma_p^2
+    is the spectral second moment and diam the diameter of the domain. Fails
+    for kernels whose spectral second moment diverges.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -40,6 +40,7 @@ __all__ = [
     "SvmModel",
     "solve_svm_dual",
     "kkt_residual",
+    "features",
     "primal_weights",
     "decision_values",
 ]
@@ -273,17 +274,19 @@ def solve_svm_dual(
     )
 
 
-def primal_weights(model: SvmModel) -> np.ndarray:
-    """Weight vector Phi^T (a * y) of a model trained on a finite feature map.
+def features(kernel, X: np.ndarray) -> np.ndarray:
+    """Feature matrix Phi of the rows of X under a finite feature map: X itself
+    for the linear kernel, cosine/sine features for a random feature map."""
+    if isinstance(kernel, RandomFeatureMap):
+        return rff.feature_matrix(kernel, X)
+    if kernel.family != kernels.LINEAR:
+        raise ValueError(f"the {kernel.family} kernel has no finite feature map")
+    return X
 
-    Phi is the feature matrix of the training points: the points themselves
-    for the linear kernel, their cosine/sine features for a random feature map.
-    """
-    phi = model.support.points
-    if isinstance(model.kernel, RandomFeatureMap):
-        phi = rff.feature_matrix(model.kernel, phi)
-    elif model.kernel.family != kernels.LINEAR:
-        raise ValueError(f"the {model.kernel.family} kernel has no finite feature map")
+
+def primal_weights(model: SvmModel) -> np.ndarray:
+    """Weight vector Phi^T (a * y) of a model trained on a finite feature map."""
+    phi = features(model.kernel, model.support.points)
     return phi.T @ (model.alphas * model.support.labels)
 
 

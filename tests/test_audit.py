@@ -15,11 +15,16 @@ from privsvm.audit import (
     privacy_ratio_audit,
     rbf_packing_family,
     sensitivity_audit,
-    sup_norm_distance,
     utility_audit,
 )
 from privsvm.data import Database, DomainBox
 from privsvm.kernels import linear_kernel, rbf_kernel
+from privsvm.mechanisms import (
+    calibrate_noise_privacy_finite,
+    optimal_dp_lower_bound_rbf,
+    rbf_packing_size,
+    sensitivity_finite,
+)
 from privsvm.rff import calibrate_rff_dim
 from privsvm.solver import solve_svm_dual
 
@@ -80,6 +85,9 @@ def test_linear_separation_pair_boundary():
 def test_rbf_packing_family_structure():
     fam = rbf_packing_family(1.0, 8, 0.3)
     assert fam.params["N"] == 11
+    for sigma in (0.1, 0.3, 0.5, 0.84):
+        N = rbf_packing_family(1.0, 8, sigma).params["N"]
+        assert N == rbf_packing_size(sigma) == optimal_dp_lower_bound_rbf(0.05, sigma)[0]
     assert len(fam.databases) == 11
     assert fam.expected_separation == pytest.approx(1.0 / 16.0)
     first = fam.databases[0]
@@ -111,6 +119,7 @@ def test_sensitivity_audit_small_run():
     report = sensitivity_audit(40, 10, 1.0, unit_box(), seed=2)
     assert report.passed
     assert report.bound == pytest.approx(4 * math.sqrt(2) * math.sqrt(2) / 10)
+    assert report.bound == sensitivity_finite(1.0, 1.0, unit_box().max_l2_norm(), 2, 10)
     assert 0.0 < report.statistic <= report.bound
 
 
@@ -211,8 +220,6 @@ def test_privacy_ratio_identical_databases_near_zero():
 
 
 def test_privacy_ratio_on_separation_pair():
-    from privsvm.mechanisms import calibrate_noise_privacy_finite
-
     fam = linear_separation_pair(1.0, 10, 0.04)
     d1, d2 = fam.databases
     lam = calibrate_noise_privacy_finite(1.0, 1.0, 0.8, 1, 1.0, 10)
@@ -221,6 +228,10 @@ def test_privacy_ratio_on_separation_pair():
     assert report.passed
     assert report.details["smoke_test"]
     assert report.details["lambda_required_for_beta"] == pytest.approx(lam, rel=1e-12)
+    kappa = float(np.max(np.linalg.norm(np.vstack([d1.points, d2.points]), axis=1)))
+    assert report.details["lambda_required_for_beta"] == calibrate_noise_privacy_finite(
+        1.0, 1.0, kappa, 1, 1.0, 10
+    )
 
 
 def test_privacy_ratio_detects_undercalibrated_noise():
@@ -241,17 +252,6 @@ def test_privacy_ratio_rejects_non_neighbors():
     params = MechanismParams("finite", 1.0, 0.1)
     with pytest.raises(ValueError, match="neighbors"):
         privacy_ratio_audit(a, b, params, 1.0, 100, 10, 0, seed=0)
-
-
-def test_sup_norm_distance():
-    box = DomainBox(np.zeros(2), np.ones(2))
-    f = lambda x: x[0]
-    g = lambda x: 0.0
-    assert sup_norm_distance(f, f, box, 11) == 0.0
-    assert sup_norm_distance(f, g, box, 11) == pytest.approx(1.0)
-    coarse = sup_norm_distance(lambda x: math.sin(3 * x[0]) * x[1], g, box, 2)
-    fine = sup_norm_distance(lambda x: math.sin(3 * x[0]) * x[1], g, box, 101)
-    assert coarse <= fine
 
 
 def test_default_grid_resolution():

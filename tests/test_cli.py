@@ -12,8 +12,8 @@ from privsvm.mechanisms import (
     calibrate_rff_dim_hinge,
 )
 from privsvm.model_io import load_model, save_model
-from privsvm.mechanisms import IDENTITY_MAP, PrivateModel
-from privsvm.data import load_csv
+from privsvm.mechanisms import PrivateModel
+from privsvm.data import Database, load_csv, to_csv
 from privsvm.kernels import linear_kernel, rbf_kernel
 from privsvm.noise import sample_laplace
 from privsvm.rff import RandomFeatureMap
@@ -143,7 +143,7 @@ def test_predict_rejects_mixed_row_forms(capsys, data_file, tmp_path):
 
 
 def test_predict_zero_model_sign_tie(capsys, tmp_path):
-    model = PrivateModel(np.zeros(2), IDENTITY_MAP, linear_kernel(), 1.0, 0.1, n=2, dim=2)
+    model = PrivateModel(np.zeros(2), linear_kernel(), 1.0, 0.1, n=2, dim=2)
     model_path = tmp_path / "zero.json"
     save_model(model, model_path)
     probe = tmp_path / "probe.csv"
@@ -356,3 +356,73 @@ def test_audit_utility_via_cli(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["audit"]["name"] == "utility"
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "MISSING", "--kernel", "linear", "--c", "1", "--out", "OUT"],
+    ["private-train-finite", "--data", "MISSING", "--c", "1", "--lambda", "0.1",
+     "--seed", "1", "--out", "OUT"],
+    ["private-train-rff", "--data", "MISSING", "--kernel", "rbf", "--sigma", "1", "--c", "1",
+     "--lambda", "0.1", "--d-hat", "4", "--seed", "1", "--out", "OUT"],
+    ["audit", "--name", "utility", "--data", "MISSING", "--seed", "1", "--lambda", "0.1",
+     "--eps", "0.5", "--delta", "0.1"],
+    ["audit", "--name", "privacy-ratio", "--data", "PRESENT", "--data2", "MISSING",
+     "--seed", "1", "--lambda", "0.1", "--beta", "1"],
+    ["predict", "--model", "MODEL", "--data", "MISSING"],
+], ids=["train", "private-train-finite", "private-train-rff", "audit-data", "audit-data2",
+        "predict"])
+def test_missing_data_file_is_reported_by_name(capsys, data_file, tmp_path, argv):
+    # a missing path is an OS error naming the file, never parsed as CSV text
+    missing = tmp_path / "nonexistent.csv"
+    model = tmp_path / "model.json"
+    save_model(PrivateModel(np.zeros(2), linear_kernel(), 1.0, 0.1, n=2, dim=2), model)
+    places = {"MISSING": str(missing), "PRESENT": data_file, "MODEL": str(model),
+              "OUT": str(tmp_path / "out.json")}
+    code, out, err = run(capsys, [places.get(a, a) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert "No such file or directory" in err and str(missing) in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--name", "sensitivity", "--seed", "1", "--trials", "3", "--n", "6", "--dim", "5"],
+    ["--name", "separation", "--c", "1.0", "--n", "8", "--sigma", "0.3", "--dim", "6"],
+], ids=["sensitivity", "separation"])
+def test_audit_without_grid_ignores_dim(capsys, argv):
+    code, out, _ = run(capsys, ["audit", *argv])
+    assert code == 0
+    assert json.loads(out)["audit"]["pass"] is True
+
+
+def test_audit_default_grid_follows_gridded_dimension(capsys, tmp_path):
+    points = np.random.default_rng(3).uniform(-1, 1, (4, 3))
+    data = tmp_path / "u3.csv"
+    data.write_text(to_csv(Database(points, np.array([1.0, -1.0, 1.0, -1.0]))))
+    code, out, _ = run(capsys, [
+        "audit", "--name", "utility", "--seed", "4", "--trials", "3",
+        "--data", str(data), "--lambda", "0.01", "--eps", "0.5", "--delta", "0.2",
+    ])
+    assert code == 0
+    details = json.loads(out)["audit"]["details"]
+    assert details["grid_resolution"] == 11
+    assert details["eval_points"] == 11**3 + 4
+
+    approx = ["audit", "--name", "kernel-approx", "--seed", "2", "--trials", "3",
+              "--sigma", "1.0", "--d-hat", "20", "--eps", "0.5"]
+    code, out, _ = run(capsys, [*approx, "--dim", "3"])
+    assert code == 0
+    assert json.loads(out)["audit"]["details"]["grid_resolution"] == 11
+    code, out, err = run(capsys, [*approx, "--dim", "5"])
+    assert code == 1 and out == ""
+    assert "grid resolution" in err
+
+
+def test_audit_utility_rff_requires_d_hat(capsys, data_file):
+    code, _, err = run(capsys, [
+        "audit", "--name", "utility", "--mechanism", "rff", "--sigma", "1.0",
+        "--seed", "1", "--data", data_file, "--lambda", "0.1", "--eps", "0.5",
+        "--delta", "0.1",
+    ])
+    assert code == 2
+    assert "requires --d-hat" in err

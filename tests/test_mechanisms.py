@@ -7,7 +7,6 @@ import privsvm.mechanisms as mechanisms
 from privsvm.data import Database
 from privsvm.kernels import cauchy_kernel, laplacian_kernel, linear_kernel, rbf_kernel
 from privsvm.mechanisms import (
-    IDENTITY_MAP,
     PrivateModel,
     calibrate_noise_privacy_finite,
     calibrate_noise_privacy_rff,
@@ -19,6 +18,8 @@ from privsvm.mechanisms import (
     optimal_dp_lower_bound_linear,
     optimal_dp_lower_bound_rbf,
     optimal_dp_upper_bound_hinge,
+    sensitivity_finite,
+    sensitivity_rff,
     train_private_finite,
     train_private_rff,
 )
@@ -40,7 +41,7 @@ def test_private_finite_zero_noise_hook(monkeypatch):
     _zero_noise(monkeypatch)
     model = train_private_finite(two_point_db(), 2.0, 0.1, np.random.default_rng(0))
     assert np.array_equal(model.weights, [1.0, 0.0])
-    assert model.feature_map == IDENTITY_MAP
+    assert model.feature_map == linear_kernel()
     assert model.n == 2 and model.dim == 2
 
 
@@ -123,7 +124,7 @@ def test_private_rff_rejects_linear_kernel():
 
 def test_private_model_decisions():
     w = np.array([0.5, -2.0])
-    model = PrivateModel(w, IDENTITY_MAP, linear_kernel(), 1.0, 0.1, n=2, dim=2)
+    model = PrivateModel(w, linear_kernel(), 1.0, 0.1, n=2, dim=2)
     assert model.decision(np.array([2.0, 1.0])) == pytest.approx(-1.0)
     rffm = train_private_rff(two_point_db(), rbf_kernel(1.0), 1.0, 0.1, 8, np.random.default_rng(1))
     x = np.array([0.3, 0.4])
@@ -133,11 +134,14 @@ def test_private_model_decisions():
 
 def test_private_model_validation():
     with pytest.raises(ValueError):
-        PrivateModel(np.zeros(3), IDENTITY_MAP, linear_kernel(), 1.0, 0.1, n=2, dim=2)
+        PrivateModel(np.zeros(3), linear_kernel(), 1.0, 0.1, n=2, dim=2)
     with pytest.raises(ValueError):
-        PrivateModel(np.zeros(2), IDENTITY_MAP, linear_kernel(), 1.0, 0.0, n=2, dim=2)
+        PrivateModel(np.zeros(2), linear_kernel(), 1.0, 0.0, n=2, dim=2)
     with pytest.raises(ValueError):
-        PrivateModel(np.zeros(2), "bogus-map", linear_kernel(), 1.0, 0.1, n=2, dim=2)
+        PrivateModel(np.zeros(2), "bogus-map", 1.0, 0.1, n=2, dim=2)
+    # an exact translation-invariant kernel has no finite map to carry weights
+    with pytest.raises(ValueError, match="feature_map"):
+        PrivateModel(np.zeros(2), rbf_kernel(1.0), 1.0, 0.1, n=2, dim=2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -145,12 +149,12 @@ def test_private_model_rejects_non_finite_weights(bad):
     weights = np.zeros(2)
     weights[1] = bad
     with pytest.raises(ValueError, match="finite"):
-        PrivateModel(weights, IDENTITY_MAP, linear_kernel(), 1.0, 0.1, n=2, dim=2)
+        PrivateModel(weights, linear_kernel(), 1.0, 0.1, n=2, dim=2)
     fmap = RandomFeatureMap.draw(rbf_kernel(1.0), 2, 3, seed=1)
     weights = np.zeros(fmap.feature_dim)
     weights[0] = bad
     with pytest.raises(ValueError, match="finite"):
-        PrivateModel(weights, fmap, rbf_kernel(1.0), 1.0, 0.1, n=2, dim=2)
+        PrivateModel(weights, fmap, 1.0, 0.1, n=2, dim=2)
 
 
 def test_calibrate_noise_privacy_finite():
@@ -162,6 +166,9 @@ def test_calibrate_noise_privacy_finite():
         calibrate_noise_privacy_finite(1, 1, 1, 4, 0, 100)
     with pytest.raises(ValueError):
         calibrate_noise_privacy_finite(1, 1, 1, 4, 1, 1)
+    assert calibrate_noise_privacy_finite(2, 3, 1.5, 5, 0.7, 90) == (
+        sensitivity_finite(2, 3, 1.5, 5, 90) / 0.7
+    )
 
 
 def test_calibrate_noise_privacy_rff():
@@ -169,6 +176,9 @@ def test_calibrate_noise_privacy_rff():
     base = calibrate_noise_privacy_rff(1, 1, 4, 1, 100)
     assert calibrate_noise_privacy_rff(1, 1, 16, 1, 100) == pytest.approx(2 * base, rel=1e-12)
     assert calibrate_noise_privacy_rff(1, 1, 4, 2, 100) == pytest.approx(base / 2, rel=1e-12)
+    assert calibrate_noise_privacy_rff(2, 3, 7, 0.7, 90) == sensitivity_rff(2, 3, 7, 90) / 0.7
+    with pytest.raises(ValueError):
+        sensitivity_rff(1, 1, 4, 1)
 
 
 def test_calibrate_noise_utility_finite():

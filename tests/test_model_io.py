@@ -56,6 +56,16 @@ def test_private_finite_round_trip(tmp_path):
     assert loaded.seed == 9
 
 
+def test_private_finite_doc_must_name_linear_kernel():
+    model = train_private_finite(sample_db(3), 1.0, 0.25, np.random.default_rng(9))
+    doc = model_to_doc(model)
+    doc.pop("checksum")
+    assert model_from_doc(doc) == model
+    doc["kernel"] = rbf_kernel(1.0).to_doc()
+    with pytest.raises(ValueError, match="linear kernel"):
+        model_from_doc(doc)
+
+
 def test_private_rff_round_trip(tmp_path):
     db = sample_db(4)
     model = train_private_rff(

@@ -7,6 +7,7 @@ from privsvm.kernels import laplacian_kernel, linear_kernel, rbf_kernel
 from privsvm.rff import (
     CalibrationError,
     RandomFeatureMap,
+    approx_failure_bound,
     calibrate_rff_dim,
     displacement_kernel,
     feature_matrix,
@@ -139,9 +140,26 @@ def test_calibrate_dim_formula():
     assert calibrate_rff_dim(eps, delta, d, sigma_p, diam) == math.ceil(bound)
 
 
+def test_calibrate_dim_inverts_failure_bound():
+    # the smallest d_hat whose forward failure bound reaches delta; the 1e-12
+    # slack covers rounding in the two closed forms
+    for eps in (0.05, 0.3, 1.0):
+        for delta in (1e-3, 0.1, 0.9):
+            for d in (1, 3):
+                for sigma_p in (0.5, 1.7):
+                    for diam in (0.1, 2.2):
+                        d_hat = calibrate_rff_dim(eps, delta, d, sigma_p, diam)
+                        bound = approx_failure_bound(eps, d_hat, d, sigma_p**2, diam)
+                        assert bound <= delta * (1 + 1e-12)
+                        if d_hat > 1:
+                            below = approx_failure_bound(eps, d_hat - 1, d, sigma_p**2, diam)
+                            assert below > delta * (1 - 1e-12)
+
+
 def test_calibrate_dim_rejects_infinite_moment():
     with pytest.raises(CalibrationError, match="manually"):
         calibrate_rff_dim(0.5, 0.5, 1, math.inf, 1.0)
+    assert approx_failure_bound(0.5, 10**6, 1, math.inf, 1.0) == math.inf
 
 
 def test_calibrate_dim_domain():

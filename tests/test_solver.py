@@ -6,7 +6,7 @@ from privsvm.data import Database
 from privsvm.kernels import (
     cauchy_kernel, gram, kernel_eval, laplacian_kernel, linear_kernel, rbf_kernel,
 )
-from privsvm.mechanisms import IDENTITY_MAP, PrivateModel
+from privsvm.mechanisms import PrivateModel
 from privsvm.rff import RandomFeatureMap, feature_matrix
 from privsvm.solver import (
     _DEGENERATE_DIAG,
@@ -186,17 +186,17 @@ def test_decision_values_examples():
 
 def test_primal_dual_consistency_linear():
     # the released primal classifier <w, phi(x)> equals the dual one, for the
-    # identity map and for a random feature map
+    # linear kernel's map and for a random feature map
     rng = np.random.default_rng(31)
     fmap = RandomFeatureMap.draw(rbf_kernel(1.0), 2, 16, seed=4)
-    maps = ((linear_kernel(), IDENTITY_MAP, linear_kernel()), (fmap, fmap, fmap.kernel))
+    maps = (linear_kernel(), fmap)
     for _ in range(10):
         db, _, C = random_instance(rng, n=6)
         X = rng.uniform(-1, 1, (5, 2))
-        for solve_kernel, feature_map, kernel in maps:
-            model = solve_svm_dual(db, solve_kernel, C)
+        for feature_map in maps:
+            model = solve_svm_dual(db, feature_map, C)
             released = PrivateModel(
-                primal_weights(model), feature_map, kernel, C, 1.0, n=db.n, dim=db.dim
+                primal_weights(model), feature_map, C, 1.0, n=db.n, dim=db.dim
             )
             assert np.allclose(
                 released.decision_values(X), decision_values(model, X), rtol=0, atol=1e-9
@@ -208,7 +208,7 @@ def test_primal_dual_consistency_linear():
 @pytest.mark.parametrize("decide", [
     decision_values,
     lambda model, X: PrivateModel(
-        primal_weights(model), IDENTITY_MAP, linear_kernel(), 2.0, 1.0, n=2, dim=2
+        primal_weights(model), linear_kernel(), 2.0, 1.0, n=2, dim=2
     ).decision_values(X),
 ], ids=["solver", "private_model"])
 @pytest.mark.parametrize("X", [np.zeros(2), np.zeros((2, 3)), np.zeros((1, 1, 2))],
