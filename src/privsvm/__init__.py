@@ -72,6 +72,7 @@ from .rff import (
     approx_failure_bound,
     calibrate_rff_dim,
     displacement_kernel,
+    grid_values,
     rff_features,
     rff_kernel,
 )

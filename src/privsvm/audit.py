@@ -33,7 +33,7 @@ from .mechanisms import (
     sensitivity_finite,
     train_private_rff,
 )
-from .rff import RandomFeatureMap, approx_failure_bound, displacement_kernel
+from .rff import RandomFeatureMap, approx_failure_bound, grid_values
 from .solver import decision_values, primal_weights, solve_svm_dual
 
 __all__ = [
@@ -289,8 +289,10 @@ def utility_audit(
     PrivateModel (finite: the reference weights plus the mechanism's noise
     draws; rff: a `train_private_rff` run) on a regular grid over the box,
     augmented with the training points so the hinge-risk transfer check
-    (mean hinge gap <= sup gap, hinge being 1-Lipschitz) is exact. Passing
-    means the failure fraction is at most delta.
+    (mean hinge gap <= sup gap, hinge being 1-Lipschitz) is exact. An rff
+    release is evaluated on the grid by `grid_values` and on the training
+    points by its feature matrix. Passing means the failure fraction is at
+    most delta.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive")
@@ -306,22 +308,29 @@ def utility_audit(
         w_ref = primal_weights(solve_svm_dual(db, linear_kernel(), params.C))
         ref_vals = eval_points @ w_ref
 
-        def release(rng):
+        def released_values(rng):
             mu = _mechanisms._draw_noise(params.lam, db.dim, rng)
-            return PrivateModel(w_ref + mu, linear_kernel(), params.C, params.lam,
-                                n=db.n, dim=db.dim)
+            model = PrivateModel(w_ref + mu, linear_kernel(), params.C, params.lam,
+                                 n=db.n, dim=db.dim)
+            return model.decision_values(eval_points)
     else:
         ref_vals = decision_values(solve_svm_dual(db, params.kernel, params.C), eval_points)
 
-        def release(rng):
-            return train_private_rff(db, params.kernel, params.C, params.lam, params.d_hat, rng)
+        def released_values(rng):
+            model = train_private_rff(db, params.kernel, params.C, params.lam, params.d_hat, rng)
+            w = model.weights
+            coeffs = (w[0::2] - 1j * w[1::2]) / math.sqrt(params.d_hat)
+            return np.concatenate([
+                grid_values(model.feature_map, coeffs, box, grid_resolution),
+                model.decision_values(db.points),
+            ])
 
     # The training points are the last n evaluation points.
     ref_hinge = _mean_hinge(y * ref_vals[-db.n:])
     failures = 0
     hinge_violation = 0.0
     for t in range(trials):
-        vals = release(child_rng(seed, t)).decision_values(eval_points)
+        vals = released_values(child_rng(seed, t))
         sup = float(np.max(np.abs(vals - ref_vals)))
         if sup > eps:
             failures += 1
@@ -362,8 +371,10 @@ def kernel_approx_audit(
     calibration promises at this d_hat.
 
     Both kernels depend only on x - y, so the sup is taken over a grid on the
-    displacement box. When the inverted failure probability exceeds one the
-    bound is vacuous and flagged as such.
+    displacement box, where each draw's estimate is `grid_values` with
+    c_i = 1 divided by d_hat (the mean `displacement_kernel` takes). When the
+    inverted failure probability exceeds one the bound is vacuous and flagged
+    as such.
     """
     if not kernel.translation_invariant():
         raise UnsupportedKernelError("kernel approximation requires a translation-invariant kernel")
@@ -372,13 +383,14 @@ def kernel_approx_audit(
     if trials < 1:
         raise ValueError("trials must be positive")
     d = box.dim
-    deltas = box.displacement_box().grid(grid_resolution)
-    true_vals = _kernels.gram(kernel, deltas, np.zeros((1, d)))[:, 0]
+    displacements = box.displacement_box()
+    true_vals = _kernels.gram(kernel, displacements.grid(grid_resolution), np.zeros((1, d)))[:, 0]
+    ones = np.ones(d_hat)
     failures = 0
     worst_sup = 0.0
     for t in range(trials):
         fmap = RandomFeatureMap.from_rng(kernel, d, d_hat, child_rng(seed, t))
-        approx = displacement_kernel(fmap, deltas)
+        approx = grid_values(fmap, ones, displacements, grid_resolution) / d_hat
         sup = float(np.max(np.abs(approx - true_vals)))
         worst_sup = max(worst_sup, sup)
         if sup >= eps:

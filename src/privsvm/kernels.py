@@ -68,6 +68,8 @@ class KernelSpec:
 
     @staticmethod
     def from_doc(doc: dict) -> "KernelSpec":
+        if not isinstance(doc, dict) or "family" not in doc:
+            raise ValueError("kernel document must be an object with a 'family' field")
         return KernelSpec(doc["family"], doc.get("sigma"))
 
 

@@ -85,6 +85,10 @@ class PrivateModel:
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if isinstance(self.feature_map, RandomFeatureMap):
+            if self.feature_map.dim != self.dim:
+                raise ValueError(
+                    f"feature map takes {self.feature_map.dim}-D points, model dim is {self.dim}"
+                )
             width = self.feature_map.feature_dim
         elif self.feature_map == linear_kernel():
             width = self.dim

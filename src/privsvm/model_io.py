@@ -115,8 +115,17 @@ def _private_doc(model: PrivateModel) -> dict:
     return doc
 
 
+class _Fields(dict):
+    """A model document whose missing required field is a ValueError naming it."""
+
+    def __missing__(self, key):
+        raise ValueError(f"model document is missing required field {key!r}")
+
+
 def model_from_doc(doc: dict):
-    doc = dict(doc)
+    if not isinstance(doc, dict):
+        raise ValueError("model document must be a JSON object")
+    doc = _Fields(doc)
     stored = doc.pop("checksum", None)
     if stored is not None and stored != _checksum(doc):
         raise ValueError("checksum mismatch: document was altered")

@@ -17,16 +17,17 @@ from privsvm.audit import (
     sensitivity_audit,
     utility_audit,
 )
-from privsvm.data import Database, DomainBox
+from privsvm.data import Database, DomainBox, bounding_box
 from privsvm.kernels import linear_kernel, rbf_kernel
 from privsvm.mechanisms import (
     calibrate_noise_privacy_finite,
     optimal_dp_lower_bound_rbf,
     rbf_packing_size,
     sensitivity_finite,
+    train_private_rff,
 )
-from privsvm.rff import calibrate_rff_dim
-from privsvm.solver import solve_svm_dual
+from privsvm.rff import RandomFeatureMap, calibrate_rff_dim, displacement_kernel
+from privsvm.solver import decision_values, solve_svm_dual
 
 
 def unit_box(d=2):
@@ -182,6 +183,26 @@ def test_utility_audit_rff_mechanism_runs():
     assert report.details["hinge_transfer_ok"]
 
 
+@pytest.mark.parametrize("eps", [0.2, 0.3])
+def test_utility_audit_rff_matches_pointwise_evaluation(eps):
+    # the grid is evaluated by grid_values; the failure count must be the one
+    # each release's decision_values gives on the same points
+    db = fixed_db(n=12)
+    kernel, C, lam, d_hat, trials, G, seed = rbf_kernel(1.0), 1.0, 0.1, 50, 20, 21, 3
+    report = utility_audit(db, MechanismParams("rff", C, lam, kernel=kernel, d_hat=d_hat),
+                           eps, 0.5, trials, G, seed=seed)
+    eval_points = np.vstack([bounding_box(db).grid(G), db.points])
+    ref = decision_values(solve_svm_dual(db, kernel, C), eval_points)
+    failures = sum(
+        np.max(np.abs(train_private_rff(db, kernel, C, lam, d_hat, child_rng(seed, t))
+                      .decision_values(eval_points) - ref)) > eps
+        for t in range(trials)
+    )
+    assert 0 < failures < trials
+    assert report.statistic == failures / trials
+    assert report.passed == (failures / trials <= 0.5)
+
+
 def test_utility_audit_rejects_bad_eps():
     params = MechanismParams("finite", 1.0, 0.1)
     with pytest.raises(ValueError):
@@ -209,6 +230,25 @@ def test_kernel_approx_audit_calibrated():
     assert report.passed
     assert report.statistic <= delta
     assert not report.details["bound_vacuous"]
+
+
+@pytest.mark.parametrize("d, G, eps", [(1, 51, 0.07), (2, 21, 0.1)])
+def test_kernel_approx_audit_matches_pointwise_evaluation(d, G, eps):
+    # displacement_kernel on every grid row, per trial stream, as the audit's reference
+    kernel, d_hat, trials, seed = rbf_kernel(1.0), 200, 40, 5
+    report = kernel_approx_audit(kernel, d_hat, unit_box(d), eps, trials, G, seed=seed)
+    deltas = unit_box(d).displacement_box().grid(G)
+    true_vals = np.exp(-0.5 * np.sum(deltas**2, axis=1))
+    sups = [
+        np.max(np.abs(displacement_kernel(
+            RandomFeatureMap.from_rng(kernel, d, d_hat, child_rng(seed, t)), deltas) - true_vals))
+        for t in range(trials)
+    ]
+    failures = sum(sup >= eps for sup in sups)
+    assert 0 < failures < trials
+    assert report.statistic == failures / trials
+    assert report.passed == (failures / trials <= report.bound)
+    assert report.details["worst_sup_error"] == pytest.approx(max(sups), rel=0, abs=1e-12)
 
 
 def test_privacy_ratio_identical_databases_near_zero():

@@ -108,6 +108,22 @@ def test_predict_two_point_model(capsys, data_file, tmp_path):
     assert lines[1] == "-2.0 -1"
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"format_version": 1, "mechanism": "private_finite"}, "'kernel'"),
+    ({"format_version": 1, "mechanism": "private_finite", "kernel": {"family": "linear"},
+      "C": 1.0, "lambda": 0.1, "n": 2, "dim": 2}, "'weights'"),
+    ({"format_version": 1, "mechanism": "svm", "kernel": {}}, "'family'"),
+], ids=["no-kernel", "no-weights", "kernel-no-family"])
+def test_predict_model_missing_field_is_an_error_line(capsys, data_file, tmp_path, doc, field):
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["predict", "--model", str(model), "--data", data_file])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert field in err
+
+
 def test_predict_accepts_labeled_rows(capsys, data_file, tmp_path):
     model_path = str(tmp_path / "model.json")
     main(["train", "--data", data_file, "--kernel", "linear",

@@ -144,6 +144,14 @@ def test_private_model_validation():
         PrivateModel(np.zeros(2), rbf_kernel(1.0), 1.0, 0.1, n=2, dim=2)
 
 
+def test_private_model_rejects_map_of_another_dimension():
+    fmap = RandomFeatureMap.draw(rbf_kernel(1.0), 3, 3, seed=1)
+    with pytest.raises(ValueError, match="dim"):
+        PrivateModel(np.zeros(fmap.feature_dim), fmap, 1.0, 0.1, n=2, dim=2)
+    model = PrivateModel(np.zeros(fmap.feature_dim), fmap, 1.0, 0.1, n=2, dim=3)
+    assert model.decision_values(np.zeros((1, 3))).shape == (1,)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_private_model_rejects_non_finite_weights(bad):
     weights = np.zeros(2)

@@ -112,6 +112,11 @@ def test_malformed_document_rejected(tmp_path):
     with pytest.raises(ValueError, match="mechanism"):
         model_from_doc({"format_version": FORMAT_VERSION, "mechanism": "what",
                         "kernel": {"family": "linear"}})
+    with pytest.raises(ValueError, match="JSON object"):
+        model_from_doc([FORMAT_VERSION, "svm"])
+    with pytest.raises(ValueError, match="missing required field 'entries'"):
+        model_from_doc({"format_version": FORMAT_VERSION, "mechanism": "svm",
+                        "kernel": {"family": "linear"}})
 
 
 def test_checksum_tamper_detected(tmp_path):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from privsvm.kernels import laplacian_kernel, linear_kernel, rbf_kernel
+from privsvm.data import DomainBox
+from privsvm.kernels import cauchy_kernel, laplacian_kernel, linear_kernel, rbf_kernel
 from privsvm.rff import (
     CalibrationError,
     RandomFeatureMap,
@@ -11,6 +12,7 @@ from privsvm.rff import (
     calibrate_rff_dim,
     displacement_kernel,
     feature_matrix,
+    grid_values,
     rff_features,
     rff_kernel,
 )
@@ -84,6 +86,47 @@ def test_displacement_kernel_is_rff_kernel_rowwise():
     pairwise = [rff_kernel(m, x, y) for x, y in zip(X, Y)]
     assert np.allclose(rows, pairwise, rtol=0, atol=1e-15)
     assert np.all(displacement_kernel(m, np.zeros((4, 3))) == 1.0)
+
+
+def _rowwise(f, points, rows=1 << 16):
+    # f over the rows of points in slices, so a 130^3 grid stays small in memory
+    return np.concatenate([f(points[i:i + rows]) for i in range(0, len(points), rows)])
+
+
+@pytest.mark.parametrize("kernel", [rbf_kernel(0.7), laplacian_kernel(), cauchy_kernel()],
+                         ids=["rbf", "laplacian", "cauchy"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("G", [2, 11, 51, 130])
+def test_grid_values_match_pointwise_forms(kernel, d, G):
+    # 130 points per axis cross the re-anchoring interval twice, off its multiples
+    d_hat = 9
+    m = RandomFeatureMap.draw(kernel, d, d_hat, seed=10 * d + G)
+    box = DomainBox(np.array([-1.0, -0.5, 0.0])[:d], np.array([1.0, 2.0, 0.75])[:d])
+    displacements = box.displacement_box()
+    deltas = displacements.grid(G)
+    kernel_grid = grid_values(m, np.ones(d_hat), displacements, G) / d_hat
+    expected = _rowwise(lambda rows: displacement_kernel(m, rows), deltas)
+    assert np.max(np.abs(kernel_grid - expected)) <= 1e-12
+    zero = np.flatnonzero(np.all(deltas == 0.0, axis=1))
+    assert zero.size == G % 2
+    assert np.all(kernel_grid[zero] == 1.0)
+
+    w = np.random.default_rng(G).standard_normal(2 * d_hat)
+    coeffs = (w[0::2] - 1j * w[1::2]) / math.sqrt(d_hat)
+    model_grid = grid_values(m, coeffs, box, G)
+    expected = _rowwise(lambda rows: feature_matrix(m, rows) @ w, box.grid(G))
+    assert np.max(np.abs(model_grid - expected)) <= 1e-12
+
+
+def test_grid_values_validation():
+    m = _map(d_hat=4, dim=2)
+    box = DomainBox(np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError, match="resolution"):
+        grid_values(m, np.ones(4), box, 1)
+    with pytest.raises(ValueError, match="dimension"):
+        grid_values(m, np.ones(4), DomainBox(np.zeros(3), np.ones(3)), 5)
+    with pytest.raises(ValueError, match="length 4"):
+        grid_values(m, np.ones(3), box, 5)
 
 
 def test_kernel_monte_carlo_convergence():
