@@ -32,13 +32,11 @@ from .data import (
     bounding_box,
     load_csv,
     neighbor_replace_last,
-    to_csv,
 )
 from .kernels import (
     KernelSpec,
     UnsupportedKernelError,
     cauchy_kernel,
-    kernel_eval,
     laplacian_kernel,
     linear_kernel,
     rbf_kernel,
@@ -73,8 +71,6 @@ from .rff import (
     calibrate_rff_dim,
     displacement_kernel,
     grid_values,
-    rff_features,
-    rff_kernel,
 )
 from .solver import (
     ConvergenceError,

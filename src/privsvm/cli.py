@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -209,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rbf bandwidth (rbf kernel only)")
 
     p = sub.add_parser("train", help="train a non-private SVM")
-    p.add_argument("--data", type=Path, required=True)
+    p.add_argument("--data", required=True)
     add_kernel_flags(p)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--out", required=True)
@@ -220,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("private-train-finite",
                        help="train and release noisy linear weights")
-    p.add_argument("--data", type=Path, required=True)
+    p.add_argument("--data", required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -233,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("private-train-rff",
                        help="train in a random feature space and release noisy weights")
-    p.add_argument("--data", type=Path, required=True)
+    p.add_argument("--data", required=True)
     add_kernel_flags(p)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -268,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "privacy-ratio", "separation"))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--data", type=Path, default=None)
-    p.add_argument("--data2", type=Path, default=None)
+    p.add_argument("--data", default=None)
+    p.add_argument("--data2", default=None)
     p.add_argument("--header", action="store_true")
     p.add_argument("--mechanism", choices=("finite", "rff"), default="finite")
     p.add_argument("--kernel", choices=_KERNEL_CHOICES, default="rbf")
@@ -291,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="decision values and signs for data rows")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", type=Path, required=True)
+    p.add_argument("--data", required=True)
     p.add_argument("--header", action="store_true")
     p.set_defaults(func=_cmd_predict)
 

@@ -1,10 +1,9 @@
-"""Labelled datasets, the replace-last-entry neighbour relation, and CSV I/O."""
+"""Labelled datasets, the replace-last-entry neighbour relation, and CSV input."""
 
 from __future__ import annotations
 
 import csv
 import io
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ __all__ = [
     "read_rows",
     "split_labels",
     "load_csv",
-    "to_csv",
     "neighbor_replace_last",
     "bounding_box",
 ]
@@ -92,9 +90,6 @@ class Database:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def example(self, i: int) -> Example:
-        return Example(self.points[i], int(self.labels[i]))
-
     def __eq__(self, other):
         if not isinstance(other, Database):
             return NotImplemented
@@ -162,30 +157,22 @@ class DomainBox:
         )
 
 
-def _read_text(source) -> str:
-    if hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, os.PathLike) or (isinstance(source, str) and os.path.exists(source)):
-        with open(source, "rb") as fh:
-            return fh.read().decode("utf-8")
-    if isinstance(source, str):
-        return source
-    raise TypeError("source must be a path, bytes, text, or a readable stream")
-
-
 def read_rows(source, has_header: bool = False) -> tuple[np.ndarray, list[int]]:
     """Parse comma-separated rows of reals into an (m, width) matrix.
 
-    Accepts a path, bytes, text, or a readable stream; UTF-8 with LF or CRLF
-    endings. An os.PathLike is always opened; a str is opened when it names an
-    existing file and parsed as CSV text otherwise. Blank rows are skipped,
+    `source` is a readable stream (text or bytes) or else a path, opened as
+    `open` takes it (str, bytes or os.PathLike), so a missing file is an
+    OSError naming it; UTF-8 with LF or CRLF endings. Blank rows are skipped,
     and so is the first row when `has_header` is set. Returns the matrix and
     each row's line number; every row must have the first row's width.
     """
-    text = _read_text(source)
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, "rb") as fh:
+            text = fh.read()
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     rows = []
     line_numbers = []
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
@@ -225,8 +212,8 @@ def split_labels(values: np.ndarray, line_numbers: list[int]) -> tuple[np.ndarra
 def load_csv(source, has_header: bool = False) -> Database:
     """Parse comma-separated rows of d real features followed by a -1/+1 label.
 
-    Accepts a path, bytes, text, or a readable stream; UTF-8 with LF or CRLF
-    endings. When `has_header` is set the first row is skipped.
+    `source` is a path or a readable stream, as for `read_rows`. When
+    `has_header` is set the first row is skipped.
     """
     values, line_numbers = read_rows(source, has_header)
     if len(values) <= 1:
@@ -234,16 +221,6 @@ def load_csv(source, has_header: bool = False) -> Database:
     if values.shape[1] < 2:
         raise CsvError(f"row {line_numbers[0]}: need at least one feature and a label")
     return Database(*split_labels(values, line_numbers))
-
-
-def to_csv(db: Database) -> str:
-    """Serialize a database back to CSV; feature values round-trip bit-exactly."""
-    lines = []
-    for i in range(db.n):
-        feats = ",".join(repr(float(v)) for v in db.points[i])
-        label = "+1" if db.labels[i] > 0 else "-1"
-        lines.append(f"{feats},{label}")
-    return "\n".join(lines) + "\n"
 
 
 def neighbor_replace_last(db: Database, e: Example) -> Database:

@@ -24,7 +24,6 @@ __all__ = [
     "rbf_kernel",
     "laplacian_kernel",
     "cauchy_kernel",
-    "kernel_eval",
     "gram",
     "sample_spectral",
     "spectral_second_moment",
@@ -52,8 +51,8 @@ class KernelSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.family == RBF:
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("rbf kernel requires sigma > 0")
+            if not isinstance(self.sigma, (int, float, np.number)) or not self.sigma > 0:
+                raise ValueError("rbf kernel requires a number sigma > 0")
         elif self.sigma is not None:
             raise ValueError(f"{self.family} kernel takes no sigma parameter")
 
@@ -87,15 +86,6 @@ def laplacian_kernel() -> KernelSpec:
 
 def cauchy_kernel() -> KernelSpec:
     return KernelSpec(CAUCHY)
-
-
-def kernel_eval(k: KernelSpec, x, y) -> float:
-    """Evaluate k(x, y) for two vectors of equal dimension."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be vectors of equal dimension")
-    return float(gram(k, x[None, :], y[None, :])[0, 0])
 
 
 def gram(k: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:

@@ -100,9 +100,6 @@ class PrivateModel:
             raise ValueError("weights must be finite")
         object.__setattr__(self, "weights", weights)
 
-    def decision(self, x) -> float:
-        return float(self.decision_values(np.asarray(x, dtype=np.float64)[None, :])[0])
-
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         return features(self.feature_map, as_points(X, self.dim)) @ self.weights
 

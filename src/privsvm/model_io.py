@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +28,7 @@ __all__ = ["FORMAT_VERSION", "model_to_doc", "model_from_doc", "save_model", "lo
 FORMAT_VERSION = 1
 
 _RELEASED_FORBIDDEN = ("alphas", "entries")
+_floats = partial(np.asarray, dtype=np.float64)
 
 
 def _checksum(doc: dict) -> str:
@@ -116,10 +119,21 @@ def _private_doc(model: PrivateModel) -> dict:
 
 
 class _Fields(dict):
-    """A model document whose missing required field is a ValueError naming it."""
+    """A model document whose missing or malformed field is a ValueError naming it."""
 
     def __missing__(self, key):
         raise ValueError(f"model document is missing required field {key!r}")
+
+    def read(self, key, convert, ndim=0):
+        """The field passed through `convert`, which must accept it and give `ndim` dimensions."""
+        value = self[key]
+        try:
+            out = convert(value)
+            if np.ndim(out) == ndim:
+                return out
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"model field {key!r} has the wrong type or shape")
 
 
 def model_from_doc(doc: dict):
@@ -135,20 +149,20 @@ def model_from_doc(doc: dict):
     mechanism = doc.get("mechanism")
     kernel = KernelSpec.from_doc(doc["kernel"])
     if mechanism == "svm":
-        entries = np.asarray(doc["entries"], dtype=np.float64)
+        entries = doc.read("entries", _floats, 2)
         db = Database(entries[:, :-1], entries[:, -1])
         return SvmModel(
-            alphas=np.asarray(doc["alphas"], dtype=np.float64),
+            alphas=doc.read("alphas", _floats, 1),
             support=db,
             kernel=kernel,
-            C=float(doc["C"]),
-            objective=float(doc["objective"]),
-            residual=float(doc["residual"]),
-            sweeps=int(doc["sweeps"]),
+            C=doc.read("C", float),
+            objective=doc.read("objective", float),
+            residual=doc.read("residual", float),
+            sweeps=doc.read("sweeps", operator.index),
         )
     if mechanism in ("private_finite", "private_rff"):
         if mechanism == "private_rff":
-            fmap = RandomFeatureMap(np.asarray(doc["omegas"], dtype=np.float64), kernel)
+            fmap = RandomFeatureMap(doc.read("omegas", _floats, 2), kernel)
         elif kernel == linear_kernel():
             fmap = kernel
         else:
@@ -156,14 +170,14 @@ def model_from_doc(doc: dict):
                 f"a private_finite model must name the linear kernel, not {kernel.family}"
             )
         return PrivateModel(
-            weights=np.asarray(doc["weights"], dtype=np.float64),
+            weights=doc.read("weights", _floats, 1),
             feature_map=fmap,
-            C=float(doc["C"]),
-            lam=float(doc["lambda"]),
-            claimed=dict(doc.get("claimed", {})),
-            n=int(doc["n"]),
-            dim=int(doc["dim"]),
-            seed=doc.get("seed"),
+            C=doc.read("C", float),
+            lam=doc.read("lambda", float),
+            claimed=doc.read("claimed", dict.copy) if "claimed" in doc else {},
+            n=doc.read("n", operator.index),
+            dim=doc.read("dim", operator.index),
+            seed=None if doc.get("seed") is None else doc.read("seed", operator.index),
         )
     raise ValueError(f"unknown mechanism {mechanism!r}")
 

@@ -25,9 +25,7 @@ from .kernels import KernelSpec, sample_spectral
 __all__ = [
     "CalibrationError",
     "RandomFeatureMap",
-    "rff_features",
     "feature_matrix",
-    "rff_kernel",
     "displacement_kernel",
     "grid_values",
     "approx_failure_bound",
@@ -41,16 +39,10 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RandomFeatureMap:
-    """d_hat spectral vectors defining a 2*d_hat-dimensional feature map.
-
-    `seed` records the integer used by `draw`, when the map was built that
-    way; a map rebuilt from (kernel, dim, d_hat, seed) reproduces the same
-    spectral vectors bit for bit.
-    """
+    """d_hat spectral vectors defining a 2*d_hat-dimensional feature map."""
 
     omegas: np.ndarray
     kernel: KernelSpec
-    seed: int | None = None
 
     def __post_init__(self):
         omegas = np.array(self.omegas, dtype=np.float64)
@@ -62,13 +54,8 @@ class RandomFeatureMap:
         object.__setattr__(self, "omegas", omegas)
 
     @classmethod
-    def draw(cls, kernel: KernelSpec, dim: int, d_hat: int, seed: int) -> "RandomFeatureMap":
-        rng = np.random.default_rng(seed)
-        return cls(sample_spectral(kernel, dim, d_hat, rng), kernel, seed)
-
-    @classmethod
     def from_rng(cls, kernel: KernelSpec, dim: int, d_hat: int, rng) -> "RandomFeatureMap":
-        return cls(sample_spectral(kernel, dim, d_hat, rng), kernel, None)
+        return cls(sample_spectral(kernel, dim, d_hat, rng), kernel)
 
     @property
     def d_hat(self) -> int:
@@ -83,22 +70,13 @@ class RandomFeatureMap:
         return 2 * self.d_hat
 
     def __eq__(self, other):
-        # seed is provenance metadata, not part of the map's identity
         if not isinstance(other, RandomFeatureMap):
             return NotImplemented
         return np.array_equal(self.omegas, other.omegas) and self.kernel == other.kernel
 
 
-def rff_features(m: RandomFeatureMap, x) -> np.ndarray:
-    """Feature vector of length 2*d_hat: interleaved cos/sin pairs, unit norm."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m.dim,):
-        raise ValueError(f"point has dimension {x.shape}, map expects {m.dim}")
-    return feature_matrix(m, x[None, :])[0]
-
-
 def feature_matrix(m: RandomFeatureMap, X: np.ndarray) -> np.ndarray:
-    """Row-wise feature vectors for an (n, d) array of points."""
+    """Row-wise feature vectors for an (n, d) array of points: cos/sin pairs, unit norm."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.dim:
         raise ValueError("points must be an (n, d) array matching the map dimension")
@@ -108,18 +86,6 @@ def feature_matrix(m: RandomFeatureMap, X: np.ndarray) -> np.ndarray:
     out[:, 1::2] = np.sin(z)
     out *= m.d_hat**-0.5
     return out
-
-
-def rff_kernel(m: RandomFeatureMap, x, y) -> float:
-    """Approximate kernel value <phi(x), phi(y)> = mean_i cos(<w_i, x - y>).
-
-    Computed through the displacement form, so rff_kernel(m, x, x) is exactly 1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.shape != (m.dim,):
-        raise ValueError("x and y must be vectors matching the map dimension")
-    return float(displacement_kernel(m, (x - y)[None, :])[0])
 
 
 def displacement_kernel(m: RandomFeatureMap, deltas: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from privsvm.mechanisms import (
 )
 from privsvm.model_io import load_model, model_to_doc, save_model
 from privsvm.noise import erlang_tail_probability, sample_laplace
-from privsvm.rff import RandomFeatureMap, calibrate_rff_dim, rff_kernel
+from privsvm.rff import RandomFeatureMap, calibrate_rff_dim, displacement_kernel
 from privsvm.solver import solve_svm_dual
 
 from test_solver import brute_force_dual_max
@@ -88,9 +88,9 @@ def test_rff_identity_and_uniform_approximation():
     # self-similarity is exact for 100 random points across random maps
     rng = np.random.default_rng(404)
     for trial in range(100):
-        m = RandomFeatureMap.draw(rbf_kernel(1.0), 2, 16, seed=trial)
+        m = RandomFeatureMap.from_rng(rbf_kernel(1.0), 2, 16, np.random.default_rng(trial))
         x = rng.uniform(-5.0, 5.0, 2)
-        assert rff_kernel(m, x, x) == 1.0
+        assert displacement_kernel(m, (x - x)[None, :])[0] == 1.0
     # calibrated dimension keeps the grid sup-error under 0.25 in >= 75% of draws
     eps = delta = 0.25
     d_hat = calibrate_rff_dim(eps, delta, 1, 1.0, 2.0)

@@ -17,7 +17,7 @@ from privsvm.audit import (
     sensitivity_audit,
     utility_audit,
 )
-from privsvm.data import Database, DomainBox, bounding_box
+from privsvm.data import Database, DomainBox, Example, bounding_box
 from privsvm.kernels import linear_kernel, rbf_kernel
 from privsvm.mechanisms import (
     calibrate_noise_privacy_finite,
@@ -137,7 +137,7 @@ def test_identical_replacement_gives_zero_weight_gap():
     db = Database(rng.uniform(-1, 1, (10, 2)), rng.choice([-1.0, 1.0], 10))
     from privsvm.data import neighbor_replace_last
 
-    twin = neighbor_replace_last(db, db.example(db.n - 1))
+    twin = neighbor_replace_last(db, Example(db.points[-1], int(db.labels[-1])))
     m1 = solve_svm_dual(db, linear_kernel(), 1.0)
     m2 = solve_svm_dual(twin, linear_kernel(), 1.0)
     w1 = db.points.T @ (m1.alphas * db.labels)

@@ -13,7 +13,7 @@ from privsvm.mechanisms import (
 )
 from privsvm.model_io import load_model, save_model
 from privsvm.mechanisms import PrivateModel
-from privsvm.data import Database, load_csv, to_csv
+from privsvm.data import load_csv
 from privsvm.kernels import linear_kernel, rbf_kernel
 from privsvm.noise import sample_laplace
 from privsvm.rff import RandomFeatureMap
@@ -108,12 +108,25 @@ def test_predict_two_point_model(capsys, data_file, tmp_path):
     assert lines[1] == "-2.0 -1"
 
 
+FINITE = {"format_version": 1, "mechanism": "private_finite", "kernel": {"family": "linear"},
+          "C": 1.0, "lambda": 0.1, "n": 2, "dim": 2, "weights": [0.5, -0.5]}
+SVM = {"format_version": 1, "mechanism": "svm", "kernel": {"family": "linear"}, "C": 1.0,
+       "alphas": [0.25, 0.25], "entries": [[1.0, 0.0, 1], [-1.0, 0.0, -1]],
+       "objective": 0.25, "residual": 0.0, "sweeps": 1}
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"format_version": 1, "mechanism": "private_finite"}, "'kernel'"),
-    ({"format_version": 1, "mechanism": "private_finite", "kernel": {"family": "linear"},
-      "C": 1.0, "lambda": 0.1, "n": 2, "dim": 2}, "'weights'"),
+    ({k: v for k, v in FINITE.items() if k != "weights"}, "'weights'"),
     ({"format_version": 1, "mechanism": "svm", "kernel": {}}, "'family'"),
-], ids=["no-kernel", "no-weights", "kernel-no-family"])
+    ({**FINITE, "n": None}, "'n'"),
+    ({**FINITE, "C": None}, "'C'"),
+    ({**FINITE, "claimed": [1, 2]}, "'claimed'"),
+    ({**SVM, "entries": [1, 2]}, "'entries'"),
+    ({**FINITE, "seed": "abc"}, "'seed'"),
+    ({**FINITE, "kernel": {"family": "rbf", "sigma": "abc"}}, "sigma"),
+], ids=["no-kernel", "no-weights", "kernel-no-family", "n-null", "C-null", "claimed-list",
+        "entries-1d", "seed-string", "sigma-string"])
 def test_predict_model_missing_field_is_an_error_line(capsys, data_file, tmp_path, doc, field):
     model = tmp_path / "bad.json"
     model.write_text(json.dumps(doc))
@@ -414,7 +427,8 @@ def test_audit_without_grid_ignores_dim(capsys, argv):
 def test_audit_default_grid_follows_gridded_dimension(capsys, tmp_path):
     points = np.random.default_rng(3).uniform(-1, 1, (4, 3))
     data = tmp_path / "u3.csv"
-    data.write_text(to_csv(Database(points, np.array([1.0, -1.0, 1.0, -1.0]))))
+    labels = (1, -1, 1, -1)
+    data.write_text("".join(f"{x},{y},{z},{l:+d}\n" for (x, y, z), l in zip(points, labels)))
     code, out, _ = run(capsys, [
         "audit", "--name", "utility", "--seed", "4", "--trials", "3",
         "--data", str(data), "--lambda", "0.01", "--eps", "0.5", "--delta", "0.2",

@@ -1,4 +1,6 @@
+import csv
 import io
+import os
 
 import numpy as np
 import pytest
@@ -11,61 +13,72 @@ from privsvm.data import (
     bounding_box,
     load_csv,
     neighbor_replace_last,
-    to_csv,
+    read_rows,
 )
 
 SAMPLE = "1.0,0.0,+1\n-1.0,0.0,-1\n0.5,0.5,+1"
 
 
 def test_load_csv_basic():
-    db = load_csv(SAMPLE)
+    db = load_csv(io.StringIO(SAMPLE))
     assert db.n == 3
     assert db.dim == 2
     assert np.array_equal(db.points, [[1.0, 0.0], [-1.0, 0.0], [0.5, 0.5]])
     assert np.array_equal(db.labels, [1.0, -1.0, 1.0])
 
 
-def test_load_csv_accepts_stream_and_bytes():
+def test_load_csv_accepts_stream_and_bytes(tmp_path):
     assert load_csv(io.BytesIO(SAMPLE.encode())).n == 3
-    assert load_csv(SAMPLE.encode()).n == 3
+    path = tmp_path / "sample.csv"
+    path.write_text(SAMPLE)
+    for source in (path, str(path), os.fsencode(path)):
+        assert load_csv(source).n == 3
+
+
+@pytest.mark.parametrize("read", [load_csv, read_rows], ids=["load_csv", "read_rows"])
+def test_missing_str_path_is_os_error_naming_it(tmp_path, read):
+    # a str is always a path, never CSV text, even when no file has its name
+    missing = str(tmp_path / "trian.csv")
+    with pytest.raises(OSError, match="trian.csv"):
+        read(missing)
 
 
 def test_load_csv_crlf_and_trailing_newline():
-    db = load_csv("1.0,0.0,+1\r\n-1.0,0.0,-1\r\n")
+    db = load_csv(io.StringIO("1.0,0.0,+1\r\n-1.0,0.0,-1\r\n"))
     assert db.n == 2
 
 
 def test_load_csv_header_skipped():
-    db = load_csv("x1,x2,y\n" + SAMPLE, has_header=True)
+    db = load_csv(io.StringIO("x1,x2,y\n" + SAMPLE), has_header=True)
     assert db.n == 3
 
 
 def test_load_csv_empty_is_size_error():
     with pytest.raises(CsvError, match="more than one"):
-        load_csv("")
+        load_csv(io.StringIO(""))
 
 
 def test_load_csv_single_row_is_size_error():
     with pytest.raises(CsvError, match="more than one"):
-        load_csv("1.0,0.0,+1")
+        load_csv(io.StringIO("1.0,0.0,+1"))
 
 
 def test_load_csv_bad_label():
     with pytest.raises(CsvError, match="label"):
-        load_csv("1.0,0.0,2\n0.0,1.0,-1")
+        load_csv(io.StringIO("1.0,0.0,2\n0.0,1.0,-1"))
 
 
 def test_load_csv_ragged_row_reports_index():
     with pytest.raises(CsvError, match="row 2"):
-        load_csv("1.0,0.0,+1\n1.0,-1\n0.0,1.0,-1")
+        load_csv(io.StringIO("1.0,0.0,+1\n1.0,-1\n0.0,1.0,-1"))
 
 
 def test_load_csv_non_numeric_reports_index():
     with pytest.raises(CsvError, match="row 3"):
-        load_csv("1.0,0.0,+1\n0.0,1.0,-1\nfoo,1.0,-1")
+        load_csv(io.StringIO("1.0,0.0,+1\n0.0,1.0,-1\nfoo,1.0,-1"))
 
 
-def test_csv_round_trip_bit_exact():
+def test_csv_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     points = np.concatenate(
         [rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-8, 8, (5, 3)),
@@ -73,7 +86,12 @@ def test_csv_round_trip_bit_exact():
     )
     labels = rng.choice([-1.0, 1.0], 6)
     db = Database(points, labels)
-    back = load_csv(to_csv(db))
+    path = tmp_path / "round_trip.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for x, y in zip(points.tolist(), labels):
+            writer.writerow([repr(v) for v in x] + ["+1" if y > 0 else "-1"])
+    back = load_csv(path)
     assert np.array_equal(back.points, db.points)
     assert np.array_equal(back.labels, db.labels)
 
@@ -95,13 +113,13 @@ def test_database_validation():
 
 
 def test_database_is_immutable():
-    db = load_csv(SAMPLE)
+    db = load_csv(io.StringIO(SAMPLE))
     with pytest.raises(ValueError):
         db.points[0, 0] = 5.0
 
 
 def test_neighbor_replace_last():
-    db = load_csv(SAMPLE)
+    db = load_csv(io.StringIO(SAMPLE))
     flipped = neighbor_replace_last(db, Example(np.array([0.5, 0.5]), -1))
     assert np.array_equal(flipped.points, db.points)
     assert np.array_equal(flipped.labels[:-1], db.labels[:-1])
@@ -110,13 +128,13 @@ def test_neighbor_replace_last():
 
 
 def test_neighbor_identity_case():
-    db = load_csv(SAMPLE)
-    same = neighbor_replace_last(db, db.example(db.n - 1))
+    db = load_csv(io.StringIO(SAMPLE))
+    same = neighbor_replace_last(db, Example(db.points[-1], int(db.labels[-1])))
     assert same == db
 
 
 def test_neighbor_dimension_mismatch():
-    db = load_csv(SAMPLE)
+    db = load_csv(io.StringIO(SAMPLE))
     with pytest.raises(ValueError, match="dimension"):
         neighbor_replace_last(db, Example(np.zeros(3), 1))
 

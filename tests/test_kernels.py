@@ -8,7 +8,6 @@ from privsvm.kernels import (
     UnsupportedKernelError,
     cauchy_kernel,
     gram,
-    kernel_eval,
     laplacian_kernel,
     linear_kernel,
     rbf_kernel,
@@ -19,23 +18,28 @@ from privsvm.kernels import (
 TI_KERNELS = [rbf_kernel(1.0), rbf_kernel(2.5), laplacian_kernel(), cauchy_kernel()]
 
 
-def test_kernel_eval_values():
-    assert kernel_eval(rbf_kernel(1.0), np.array([0.3, -2.0]), np.array([0.3, -2.0])) == 1.0
-    assert kernel_eval(rbf_kernel(1.0), np.array([1.0, 0.0]), np.array([0.0, 0.0])) == pytest.approx(
+def one_pair(k, x, y):
+    # k(x, y) as the 1x1 Gram of one-row arrays
+    return gram(k, x[None, :], y[None, :])[0, 0]
+
+
+def test_gram_one_pair_values():
+    assert one_pair(rbf_kernel(1.0), np.array([0.3, -2.0]), np.array([0.3, -2.0])) == 1.0
+    assert one_pair(rbf_kernel(1.0), np.array([1.0, 0.0]), np.array([0.0, 0.0])) == pytest.approx(
         math.exp(-0.5), rel=1e-15
     )
-    assert kernel_eval(laplacian_kernel(), np.array([1.0, 1.0]), np.array([0.0, 0.0])) == pytest.approx(
+    assert one_pair(laplacian_kernel(), np.array([1.0, 1.0]), np.array([0.0, 0.0])) == pytest.approx(
         math.exp(-2.0), rel=1e-15
     )
-    assert kernel_eval(linear_kernel(), np.array([2.0, 0.0]), np.array([3.0, 0.0])) == 6.0
-    assert kernel_eval(cauchy_kernel(), np.array([1.0, -1.0]), np.array([0.0, 0.0])) == pytest.approx(
+    assert one_pair(linear_kernel(), np.array([2.0, 0.0]), np.array([3.0, 0.0])) == 6.0
+    assert one_pair(cauchy_kernel(), np.array([1.0, -1.0]), np.array([0.0, 0.0])) == pytest.approx(
         0.25, rel=1e-15
     )
 
 
-def test_kernel_eval_dimension_mismatch():
+def test_gram_dimension_mismatch():
     with pytest.raises(ValueError):
-        kernel_eval(rbf_kernel(1.0), np.zeros(2), np.zeros(3))
+        gram(rbf_kernel(1.0), np.zeros((1, 2)), np.zeros((1, 3)))
 
 
 def test_spec_validation():
@@ -43,6 +47,10 @@ def test_spec_validation():
         KernelSpec("rbf")
     with pytest.raises(ValueError):
         KernelSpec("rbf", -1.0)
+    with pytest.raises(ValueError):
+        KernelSpec("rbf", math.nan)
+    with pytest.raises(ValueError):
+        KernelSpec("rbf", "abc")
     with pytest.raises(ValueError):
         KernelSpec("linear", 1.0)
     with pytest.raises(ValueError):
@@ -61,11 +69,11 @@ def test_symmetry_and_translation_invariance(k):
     rng = np.random.default_rng(11)
     for _ in range(25):
         x, y, t = rng.standard_normal((3, 3))
-        v = kernel_eval(k, x, y)
-        assert v == kernel_eval(k, y, x)
-        assert v == pytest.approx(kernel_eval(k, x + t, y + t), rel=1e-9, abs=1e-12)
+        v = one_pair(k, x, y)
+        assert v == one_pair(k, y, x)
+        assert v == pytest.approx(one_pair(k, x + t, y + t), rel=1e-9, abs=1e-12)
         assert 0.0 < v <= 1.0
-        assert kernel_eval(k, x, x) == 1.0
+        assert one_pair(k, x, x) == 1.0
 
 
 def test_gram_matches_pointwise():
@@ -76,7 +84,7 @@ def test_gram_matches_pointwise():
         G = gram(k, A, B)
         for i in range(4):
             for j in range(3):
-                assert G[i, j] == pytest.approx(kernel_eval(k, A[i], B[j]), rel=1e-12)
+                assert G[i, j] == pytest.approx(one_pair(k, A[i], B[j]), rel=1e-12)
 
 
 def test_rbf_spectral_variance():
@@ -125,5 +133,5 @@ def test_bochner_consistency(k):
     )
     for delta in displacements:
         ecf = float(np.cos(draws @ delta).mean())
-        expected = kernel_eval(k, delta, np.zeros(d))
+        expected = one_pair(k, delta, np.zeros(d))
         assert abs(ecf - expected) <= 0.02

@@ -125,11 +125,12 @@ def test_private_rff_rejects_linear_kernel():
 def test_private_model_decisions():
     w = np.array([0.5, -2.0])
     model = PrivateModel(w, linear_kernel(), 1.0, 0.1, n=2, dim=2)
-    assert model.decision(np.array([2.0, 1.0])) == pytest.approx(-1.0)
+    assert model.decision_values(np.array([[2.0, 1.0]]))[0] == pytest.approx(-1.0)
     rffm = train_private_rff(two_point_db(), rbf_kernel(1.0), 1.0, 0.1, 8, np.random.default_rng(1))
     x = np.array([0.3, 0.4])
     phi = feature_matrix(rffm.feature_map, x[None, :])[0]
-    assert rffm.decision(x) == pytest.approx(float(rffm.weights @ phi), abs=1e-12)
+    value = rffm.decision_values(x[None, :])[0]
+    assert value == pytest.approx(float(rffm.weights @ phi), abs=1e-12)
 
 
 def test_private_model_validation():
@@ -145,7 +146,7 @@ def test_private_model_validation():
 
 
 def test_private_model_rejects_map_of_another_dimension():
-    fmap = RandomFeatureMap.draw(rbf_kernel(1.0), 3, 3, seed=1)
+    fmap = RandomFeatureMap.from_rng(rbf_kernel(1.0), 3, 3, np.random.default_rng(1))
     with pytest.raises(ValueError, match="dim"):
         PrivateModel(np.zeros(fmap.feature_dim), fmap, 1.0, 0.1, n=2, dim=2)
     model = PrivateModel(np.zeros(fmap.feature_dim), fmap, 1.0, 0.1, n=2, dim=3)
@@ -158,7 +159,7 @@ def test_private_model_rejects_non_finite_weights(bad):
     weights[1] = bad
     with pytest.raises(ValueError, match="finite"):
         PrivateModel(weights, linear_kernel(), 1.0, 0.1, n=2, dim=2)
-    fmap = RandomFeatureMap.draw(rbf_kernel(1.0), 2, 3, seed=1)
+    fmap = RandomFeatureMap.from_rng(rbf_kernel(1.0), 2, 3, np.random.default_rng(1))
     weights = np.zeros(fmap.feature_dim)
     weights[0] = bad
     with pytest.raises(ValueError, match="finite"):

@@ -13,19 +13,28 @@ from privsvm.rff import (
     displacement_kernel,
     feature_matrix,
     grid_values,
-    rff_features,
-    rff_kernel,
 )
 from privsvm.solver import gram_any
 
 
 def _map(d_hat=8, dim=2, seed=1, kernel=None):
-    return RandomFeatureMap.draw(kernel or rbf_kernel(1.0), dim, d_hat, seed)
+    rng = np.random.default_rng(seed)
+    return RandomFeatureMap.from_rng(kernel or rbf_kernel(1.0), dim, d_hat, rng)
+
+
+def _features(m, x):
+    # the feature vector of one point: a one-row feature matrix
+    return feature_matrix(m, x[None, :])[0]
+
+
+def _kernel(m, x, y):
+    # the kernel estimate for one pair: displacement_kernel of one row
+    return displacement_kernel(m, (x - y)[None, :])[0]
 
 
 def test_features_at_origin():
     m = _map()
-    phi = rff_features(m, np.zeros(2))
+    phi = _features(m, np.zeros(2))
     expected = np.zeros(16)
     expected[0::2] = 8**-0.5
     assert np.array_equal(phi, expected)
@@ -35,13 +44,13 @@ def test_features_unit_norm():
     m = _map(d_hat=13)
     rng = np.random.default_rng(2)
     for _ in range(20):
-        phi = rff_features(m, rng.standard_normal(2) * 3)
+        phi = _features(m, rng.standard_normal(2) * 3)
         assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_features_single_vector_quarter_turn():
     m = RandomFeatureMap(np.array([[math.pi, 0.0]]), rbf_kernel(1.0))
-    phi = rff_features(m, np.array([0.5, 0.0]))
+    phi = _features(m, np.array([0.5, 0.0]))
     assert phi[0] == pytest.approx(0.0, abs=1e-12)  # cos(pi/2)
     assert phi[1] == pytest.approx(1.0, abs=1e-12)  # sin(pi/2)
 
@@ -50,7 +59,7 @@ def test_feature_order_is_interleaved_cos_sin():
     m = _map(d_hat=5)
     x = np.array([0.3, -1.2])
     z = m.omegas @ x
-    phi = rff_features(m, x)
+    phi = _features(m, x)
     assert np.array_equal(phi[0::2], np.cos(z) * 5**-0.5)
     assert np.array_equal(phi[1::2], np.sin(z) * 5**-0.5)
 
@@ -61,7 +70,7 @@ def test_kernel_self_value_is_exactly_one():
         m = _map(d_hat=64, seed=seed)
         for _ in range(10):
             x = rng.standard_normal(2)
-            assert rff_kernel(m, x, x) == 1.0
+            assert displacement_kernel(m, (x - x)[None, :])[0] == 1.0
 
 
 def test_kernel_matches_feature_inner_product():
@@ -69,21 +78,21 @@ def test_kernel_matches_feature_inner_product():
     rng = np.random.default_rng(12)
     for _ in range(20):
         x, y = rng.standard_normal((2, 2))
-        direct = rff_kernel(m, x, y)
-        via_features = float(rff_features(m, x) @ rff_features(m, y))
+        direct = _kernel(m, x, y)
+        via_features = float(_features(m, x) @ _features(m, y))
         assert direct == pytest.approx(via_features, abs=1e-12)
-        assert direct == rff_kernel(m, y, x)
+        assert direct == _kernel(m, y, x)
         assert abs(direct) <= 1.0
 
 
-def test_displacement_kernel_is_rff_kernel_rowwise():
-    # the one estimate behind rff_kernel and the kernel-approximation audit
+def test_displacement_kernel_rowwise_matches_one_row_calls():
+    # the one random-feature kernel estimate, for many rows or for one pair
     m = _map(d_hat=32, dim=3)
     rng = np.random.default_rng(13)
     X, Y = rng.standard_normal((2, 6, 3))
     rows = displacement_kernel(m, X - Y)
     assert rows.shape == (6,)
-    pairwise = [rff_kernel(m, x, y) for x, y in zip(X, Y)]
+    pairwise = [_kernel(m, x, y) for x, y in zip(X, Y)]
     assert np.allclose(rows, pairwise, rtol=0, atol=1e-15)
     assert np.all(displacement_kernel(m, np.zeros((4, 3))) == 1.0)
 
@@ -100,7 +109,7 @@ def _rowwise(f, points, rows=1 << 16):
 def test_grid_values_match_pointwise_forms(kernel, d, G):
     # 130 points per axis cross the re-anchoring interval twice, off its multiples
     d_hat = 9
-    m = RandomFeatureMap.draw(kernel, d, d_hat, seed=10 * d + G)
+    m = _map(d_hat=d_hat, dim=d, seed=10 * d + G, kernel=kernel)
     box = DomainBox(np.array([-1.0, -0.5, 0.0])[:d], np.array([1.0, 2.0, 0.75])[:d])
     displacements = box.displacement_box()
     deltas = displacements.grid(G)
@@ -130,8 +139,8 @@ def test_grid_values_validation():
 
 
 def test_kernel_monte_carlo_convergence():
-    m = RandomFeatureMap.draw(rbf_kernel(1.0), 1, 4000, seed=42)
-    approx = rff_kernel(m, np.array([1.0]), np.array([0.0]))
+    m = _map(d_hat=4000, dim=1, seed=42)
+    approx = _kernel(m, np.array([1.0]), np.array([0.0]))
     oracle = float(np.cos(m.omegas[:, 0] * 1.0).mean())
     assert approx == pytest.approx(oracle, abs=1e-12)
     assert abs(approx - math.exp(-0.5)) <= 0.05
@@ -148,12 +157,12 @@ def test_gram_matches_pointwise_and_feature_path():
     assert np.allclose(G, F_A @ F_B.T, atol=1e-12)
     for i in range(4):
         for j in range(3):
-            assert G[i, j] == pytest.approx(rff_kernel(m, A[i], B[j]), abs=1e-12)
+            assert G[i, j] == pytest.approx(_kernel(m, A[i], B[j]), abs=1e-12)
 
 
 def test_deterministic_rebuild():
-    a = RandomFeatureMap.draw(laplacian_kernel(), 3, 40, seed=2024)
-    b = RandomFeatureMap.draw(laplacian_kernel(), 3, 40, seed=2024)
+    a = _map(d_hat=40, dim=3, seed=2024, kernel=laplacian_kernel())
+    b = _map(d_hat=40, dim=3, seed=2024, kernel=laplacian_kernel())
     assert np.array_equal(a.omegas, b.omegas)
     assert a == b
 
@@ -166,9 +175,11 @@ def test_map_rejects_linear_kernel():
 def test_dimension_checks():
     m = _map()
     with pytest.raises(ValueError):
-        rff_features(m, np.zeros(3))
+        feature_matrix(m, np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        rff_kernel(m, np.zeros(2), np.zeros(3))
+        feature_matrix(m, np.zeros(2))
+    with pytest.raises(ValueError):
+        displacement_kernel(m, np.zeros((1, 3)))
 
 
 def test_calibrate_dim_examples():
@@ -222,7 +233,7 @@ def test_uniform_approximation_rate():
     truth = np.exp(-0.5 * grid**2)
     failures = 0
     for seed in range(50):
-        m = RandomFeatureMap.draw(rbf_kernel(1.0), 1, d_hat, seed=seed)
+        m = _map(d_hat=d_hat, dim=1, seed=seed)
         approx = np.cos(grid[:, None] * m.omegas[:, 0][None, :]).mean(axis=1)
         if np.max(np.abs(approx - truth)) >= eps:
             failures += 1

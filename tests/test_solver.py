@@ -4,7 +4,7 @@ import pytest
 from privsvm.audit import child_rng
 from privsvm.data import Database
 from privsvm.kernels import (
-    cauchy_kernel, gram, kernel_eval, laplacian_kernel, linear_kernel, rbf_kernel,
+    cauchy_kernel, gram, laplacian_kernel, linear_kernel, rbf_kernel,
 )
 from privsvm.mechanisms import PrivateModel
 from privsvm.rff import RandomFeatureMap, feature_matrix
@@ -180,7 +180,8 @@ def test_decision_values_examples():
     vals = decision_values(model, X)
     coef = model.alphas * db.labels
     for i in range(7):
-        expected = sum(c * kernel_eval(rbf_kernel(1.1), X[i], p) for c, p in zip(coef, db.points))
+        expected = sum(c * gram(rbf_kernel(1.1), X[i:i + 1], p[None, :])[0, 0]
+                       for c, p in zip(coef, db.points))
         assert vals[i] == pytest.approx(expected, abs=1e-12)
 
 
@@ -188,7 +189,7 @@ def test_primal_dual_consistency_linear():
     # the released primal classifier <w, phi(x)> equals the dual one, for the
     # linear kernel's map and for a random feature map
     rng = np.random.default_rng(31)
-    fmap = RandomFeatureMap.draw(rbf_kernel(1.0), 2, 16, seed=4)
+    fmap = RandomFeatureMap.from_rng(rbf_kernel(1.0), 2, 16, np.random.default_rng(4))
     maps = (linear_kernel(), fmap)
     for _ in range(10):
         db, _, C = random_instance(rng, n=6)
@@ -221,7 +222,7 @@ def test_decision_values_rejects_bad_shape(decide, X):
 
 @pytest.mark.parametrize("kernel", [
     linear_kernel(), rbf_kernel(0.7), laplacian_kernel(), cauchy_kernel(),
-    RandomFeatureMap.draw(rbf_kernel(1.0), 3, 40, seed=5),
+    RandomFeatureMap.from_rng(rbf_kernel(1.0), 3, 40, np.random.default_rng(5)),
 ], ids=["linear", "rbf", "laplacian", "cauchy", "rff"])
 @pytest.mark.parametrize("n", [2, 7, 1000])
 def test_gram_any_is_exactly_symmetric(kernel, n):
@@ -242,7 +243,7 @@ def test_oracle_equivalence_small_instances():
 
 @pytest.mark.parametrize("kernel", [
     linear_kernel(), rbf_kernel(0.7), laplacian_kernel(), cauchy_kernel(),
-    RandomFeatureMap.draw(rbf_kernel(1.0), 3, 40, seed=5),
+    RandomFeatureMap.from_rng(rbf_kernel(1.0), 3, 40, np.random.default_rng(5)),
 ], ids=["linear", "rbf", "laplacian", "cauchy", "rff"])
 @pytest.mark.parametrize("C", [1.0, 100.0, 1000.0])
 def test_active_set_matches_full_cycle_reference(kernel, C):
