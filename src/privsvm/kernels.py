@@ -35,6 +35,12 @@ LAPLACIAN = "laplacian"
 CAUCHY = "cauchy"
 _FAMILIES = (LINEAR, RBF, LAPLACIAN, CAUCHY)
 
+# Cells per row block of a translation-invariant Gram. The block buffer and the
+# output block it accumulates into (256 KB each) stay in a core's L2 cache,
+# and the budget is in cells, not rows, so a one-column Gram over a grid still
+# takes few Python iterations.
+_BLOCK_CELLS = 1 << 15
+
 
 class UnsupportedKernelError(ValueError):
     """Raised when an operation needs a spectral density the kernel lacks."""
@@ -89,21 +95,56 @@ def cauchy_kernel() -> KernelSpec:
 
 
 def gram(k: KernelSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise kernel matrix between the rows of A and B (B defaults to A)."""
+    """Pairwise kernel matrix between the rows of A and B (B defaults to A).
+
+    A and B must be 2-D with the same number of columns. The linear kernel is
+    A @ B.T. The translation-invariant families fill the (n_A, n_B) output in
+    row blocks of about `_BLOCK_CELLS` cells, one coordinate at a time and in
+    index order, so memory is the n_A·n_B output plus one (rows, n_B) block
+    buffer whatever the dimension. Each entry is a function of the exact
+    coordinate differences only, so gram(k, A) is exactly symmetric and
+    k(x, x) is exactly 1.
+    """
     A = np.asarray(A, dtype=np.float64)
     B = A if B is None else np.asarray(B, dtype=np.float64)
+    if A.ndim != 2 or B.ndim != 2:
+        raise ValueError(
+            f"point sets must be 2-D (rows, dim), got shapes {A.shape} and {B.shape}"
+        )
     if A.shape[1] != B.shape[1]:
         raise ValueError("dimension mismatch between point sets")
     if k.family == LINEAR:
         return A @ B.T
-    diff = A[:, None, :] - B[None, :, :]
-    if k.family == RBF:
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        return np.exp(-sq / (2.0 * k.sigma**2))
-    if k.family == LAPLACIAN:
-        return np.exp(-np.abs(diff).sum(axis=-1))
-    # cauchy
-    return np.prod(1.0 / (1.0 + diff**2), axis=-1)
+    n_b = B.shape[0]
+    Bt = np.ascontiguousarray(B.T)
+    # the empty sum is 0 and the empty product 1, so a 0-column input gives 1s
+    out = (np.ones if k.family == CAUCHY else np.zeros)((A.shape[0], n_b))
+    rows = max(1, _BLOCK_CELLS // max(n_b, 1))
+    buf = np.empty((min(rows, A.shape[0]), n_b))
+    for start in range(0, A.shape[0], rows):
+        a = A[start : start + rows]
+        block = out[start : start + rows]
+        t = buf[: a.shape[0]]
+        for j in range(A.shape[1]):
+            np.subtract(a[:, j, None], Bt[j], out=t)
+            if k.family == RBF:
+                np.square(t, out=t)
+                block += t
+            elif k.family == LAPLACIAN:
+                np.abs(t, out=t)
+                block += t
+            else:
+                np.square(t, out=t)
+                t += 1.0
+                np.divide(1.0, t, out=t)
+                block *= t
+        if k.family == RBF:
+            block /= -(2.0 * k.sigma**2)
+            np.exp(block, out=block)
+        elif k.family == LAPLACIAN:
+            np.negative(block, out=block)
+            np.exp(block, out=block)
+    return out
 
 
 def sample_spectral(k: KernelSpec, d: int, count: int, rng) -> np.ndarray:

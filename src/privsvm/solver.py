@@ -95,6 +95,11 @@ class SvmModel:
 
     def __post_init__(self):
         alphas = np.array(self.alphas, dtype=np.float64)
+        if alphas.shape != (self.support.n,):
+            raise ValueError(
+                f"alphas must have one entry per support example, shape ({self.support.n},);"
+                f" got shape {alphas.shape}"
+            )
         alphas.setflags(write=False)
         object.__setattr__(self, "alphas", alphas)
 

@@ -125,8 +125,9 @@ SVM = {"format_version": 1, "mechanism": "svm", "kernel": {"family": "linear"}, 
     ({**SVM, "entries": [1, 2]}, "'entries'"),
     ({**FINITE, "seed": "abc"}, "'seed'"),
     ({**FINITE, "kernel": {"family": "rbf", "sigma": "abc"}}, "sigma"),
+    ({**SVM, "alphas": [0.25]}, "alphas"),
 ], ids=["no-kernel", "no-weights", "kernel-no-family", "n-null", "C-null", "claimed-list",
-        "entries-1d", "seed-string", "sigma-string"])
+        "entries-1d", "seed-string", "sigma-string", "alphas-short"])
 def test_predict_model_missing_field_is_an_error_line(capsys, data_file, tmp_path, doc, field):
     model = tmp_path / "bad.json"
     model.write_text(json.dumps(doc))

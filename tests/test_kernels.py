@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from privsvm import kernels
+from privsvm.data import DomainBox
 from privsvm.kernels import (
     KernelSpec,
     UnsupportedKernelError,
@@ -16,6 +19,7 @@ from privsvm.kernels import (
 )
 
 TI_KERNELS = [rbf_kernel(1.0), rbf_kernel(2.5), laplacian_kernel(), cauchy_kernel()]
+FAMILIES = [rbf_kernel(1.3), laplacian_kernel(), cauchy_kernel()]
 
 
 def one_pair(k, x, y):
@@ -40,6 +44,73 @@ def test_gram_one_pair_values():
 def test_gram_dimension_mismatch():
     with pytest.raises(ValueError):
         gram(rbf_kernel(1.0), np.zeros((1, 2)), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("k", FAMILIES + [linear_kernel()], ids=lambda k: k.family)
+def test_gram_input_shapes(k):
+    for bad in (np.zeros(3), np.zeros((2, 3, 1))):
+        with pytest.raises(ValueError, match="2-D"):
+            gram(k, bad)
+        with pytest.raises(ValueError, match="2-D"):
+            gram(k, np.zeros((2, 3)), bad)
+    G = gram(k, np.zeros((0, 3)), np.ones((4, 3)))
+    assert G.shape == (0, 4)
+
+
+def broadcast_gram(k, A, B):
+    # the unblocked formula: the full (n_A, n_B, d) difference tensor
+    diff = A[:, None, :] - B[None, :, :]
+    if k.family == "rbf":
+        return np.exp(-(diff**2).sum(axis=-1) / (2.0 * k.sigma**2))
+    if k.family == "laplacian":
+        return np.exp(-np.abs(diff).sum(axis=-1))
+    return np.prod(1.0 / (1.0 + diff**2), axis=-1)
+
+
+def blocked_cases(d):
+    # (A, B) pairs around the block boundaries, with B = None for a square Gram
+    rng = np.random.default_rng(100 + d)
+    n_b = 100
+    rows = kernels._BLOCK_CELLS // n_b
+    B = rng.uniform(-2.0, 2.0, (n_b, d))
+    cases = [(rng.uniform(-2.0, 2.0, (n_a, d)), B) for n_a in (rows - 1, rows, rows + 1)]
+    cases += [(rng.uniform(-2.0, 2.0, (n_a, d)), None) for n_a in (rows - 1, rows + 1)]
+    # a grid of several blocks against one of its own points; one row against 5000
+    resolution = {1: 40001, 3: 35, 9: 4}[d]
+    grid = DomainBox(np.full(d, -2.0), np.full(d, 2.0)).grid(resolution)
+    cases.append((grid, grid[[grid.shape[0] // 2]]))
+    cases.append((rng.uniform(-2.0, 2.0, (1, d)), rng.uniform(-2.0, 2.0, (5000, d))))
+    return cases
+
+
+@pytest.mark.parametrize("d", [1, 3, 9])
+@pytest.mark.parametrize("k", FAMILIES, ids=lambda k: k.family)
+def test_blocked_gram_matches_broadcast_formula(k, d):
+    for A, B in blocked_cases(d):
+        G = gram(k, A, B)
+        expected = broadcast_gram(k, A, A if B is None else B)
+        assert G.shape == expected.shape
+        assert np.max(np.abs(G - expected)) <= 1e-15
+        assert np.array_equal(G, gram(k, A, B))
+        if B is None:
+            assert np.array_equal(G, G.T)
+            assert np.all(np.diag(G) == 1.0)
+        elif B.shape[0] == 1:
+            assert G[A.shape[0] // 2, 0] == 1.0
+
+
+@pytest.mark.parametrize("k", FAMILIES, ids=lambda k: k.family)
+def test_gram_memory_is_output_plus_one_block(k):
+    A = np.random.default_rng(5).uniform(-1.0, 1.0, (2000, 4))
+    output = 2000 * 2000 * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        gram(k, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert output <= peak <= output + 4 * 2**20
 
 
 def test_spec_validation():
