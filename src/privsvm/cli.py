@@ -21,7 +21,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import mechanisms, model_io
-from .data import DomainBox, bounding_box, load_csv, read_rows, split_labels
+from .data import DomainBox, load_csv, read_rows, split_labels
 from .kernels import KernelSpec, spectral_second_moment
 from .solver import SvmModel, decision_values, solve_svm_dual
 
@@ -77,8 +77,7 @@ def _cmd_train(args) -> int:
 def _cmd_private_train_finite(args) -> int:
     db = load_csv(args.data, has_header=args.header)
     claimed = _claimed_from_args(args)
-    claimed.update({"L": 1.0, "kappa": bounding_box(db).max_l2_norm(),
-                    "F": db.dim, "n": db.n})
+    claimed.update({"L": 1.0, "F": db.dim, "n": db.n})
     rng = np.random.default_rng(args.seed)
     model = mechanisms.train_private_finite(
         db, args.c, args.lam, rng, claimed=claimed, seed=args.seed

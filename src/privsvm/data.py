@@ -26,6 +26,10 @@ class CsvError(ValueError):
 
 
 def _frozen_array(values, dtype=np.float64):
+    # kept if already read-only and owning its memory; a writeable array or a view is copied
+    if (isinstance(values, np.ndarray) and values.dtype == dtype and values.base is None
+            and not values.flags.writeable):
+        return values
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out

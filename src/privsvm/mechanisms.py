@@ -1,12 +1,12 @@
 """Release mechanisms for SVM learning and their closed-form calibrations.
 
 Two private mechanisms are provided, both output perturbations of the primal
-weight vector on a finite feature map:
+weight vector on a finite feature map. Each computes the feature matrix of the
+training points once, trains the linear SVM on it, and adds Laplace noise:
 
-* `train_private_finite` trains on the linear kernel, whose feature map is
-  phi(x) = x (F = d), and releases w + Laplace noise.
+* `train_private_finite` uses the linear kernel's map phi(x) = x (F = d).
 * `train_private_rff` draws a random cosine/sine feature map for a
-  translation-invariant kernel, trains in that 2*d_hat-dimensional space, and
+  translation-invariant kernel (random features, Rahimi and Recht 2007) and
   releases the noisy weights together with the spectral vectors.
 
 Each guarantee formula is written here once, for the calibrations, reports
@@ -23,17 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import noise
+from . import noise, rff
 from .data import Database
 from .kernels import KernelSpec, linear_kernel
 from .rff import RandomFeatureMap, calibrate_rff_dim
-from .solver import as_points, features, primal_weights, solve_svm_dual
+from .solver import as_points, primal_weights, solve_svm_dual
 
 __all__ = [
     "PrivateModel",
     "CalibrationReport",
     "train_private_finite",
     "train_private_rff",
+    "features",
     "sensitivity_finite",
     "sensitivity_rff",
     "rbf_packing_size",
@@ -114,11 +115,23 @@ class PrivateModel:
         )
 
 
+def features(fmap, X: np.ndarray) -> np.ndarray:
+    """Feature matrix of the rows of X on a release's feature map: X itself
+    for `linear_kernel()`, cosine/sine features for a RandomFeatureMap."""
+    if isinstance(fmap, RandomFeatureMap):
+        return rff.feature_matrix(fmap, X)
+    if fmap != linear_kernel():
+        raise ValueError(f"the {fmap.family} kernel has no finite feature map")
+    return X
+
+
 def _release(db, fmap, C, lam, rng, claimed, seed) -> PrivateModel:
-    # Solve exactly on the map, then add one Laplace(0, lam) draw per weight.
+    # Train the linear SVM on the map's feature matrix, then add one
+    # Laplace(0, lam) draw per weight.
     if lam <= 0:
         raise ValueError("lam must be positive")
-    w = primal_weights(solve_svm_dual(db, fmap, C))
+    phi = Database(features(fmap, db.points), db.labels)
+    w = primal_weights(solve_svm_dual(phi, linear_kernel(), C))
     return PrivateModel(
         weights=w + _draw_noise(lam, w.size, rng),
         feature_map=fmap,

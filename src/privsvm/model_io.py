@@ -68,8 +68,6 @@ def model_to_doc(model) -> dict:
 
 
 def _svm_doc(model: SvmModel) -> dict:
-    if not isinstance(model.kernel, KernelSpec):
-        raise TypeError("only exact-kernel SVM models can be serialized")
     db = model.support
     doc = {
         "format_version": FORMAT_VERSION,
@@ -93,7 +91,7 @@ def _svm_doc(model: SvmModel) -> dict:
 
 def _private_doc(model: PrivateModel) -> dict:
     fmap = model.feature_map
-    is_rff = isinstance(fmap, RandomFeatureMap)
+    is_rff = fmap != linear_kernel()  # PrivateModel admits no third kind of map
     doc = {
         "format_version": FORMAT_VERSION,
         "kernel": (fmap.kernel if is_rff else fmap).to_doc(),

@@ -76,7 +76,8 @@ class RandomFeatureMap:
 
 
 def feature_matrix(m: RandomFeatureMap, X: np.ndarray) -> np.ndarray:
-    """Row-wise feature vectors for an (n, d) array of points: cos/sin pairs, unit norm."""
+    """Row-wise feature vectors for an (n, d) array of points: cos/sin pairs, unit norm,
+    in a fresh read-only array, which a Database keeps without a copy."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.dim:
         raise ValueError("points must be an (n, d) array matching the map dimension")
@@ -85,6 +86,7 @@ def feature_matrix(m: RandomFeatureMap, X: np.ndarray) -> np.ndarray:
     out[:, 0::2] = np.cos(z)
     out[:, 1::2] = np.sin(z)
     out *= m.d_hat**-0.5
+    out.setflags(write=False)
     return out
 
 

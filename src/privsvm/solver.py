@@ -22,6 +22,9 @@ every iterate is still an ascent step; without that test a singular face
 system can make the sweeps and the steps undo each other forever. When the
 face is the optimal one the step lands on its exact optimum, so the exit
 residual is often far below tol.
+
+The solver knows only exact kernels (KernelSpec). A finite feature map, such
+as random features, is trained as the linear kernel on its feature matrix.
 """
 
 from __future__ import annotations
@@ -30,17 +33,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, rff
+from . import kernels
 from .data import Database
 from .kernels import KernelSpec
-from .rff import RandomFeatureMap
 
 __all__ = [
     "ConvergenceError",
     "SvmModel",
     "solve_svm_dual",
     "kkt_residual",
-    "features",
     "primal_weights",
     "decision_values",
 ]
@@ -59,19 +60,6 @@ class ConvergenceError(RuntimeError):
         self.sweeps = sweeps
 
 
-def gram_any(kernel, A, B=None) -> np.ndarray:
-    """Gram matrix under either an exact kernel or a random feature map.
-
-    A random feature map's Gram is Phi_A Phi_B^T of its feature matrices.
-    With B omitted every Gram is exactly symmetric, which the solver relies on.
-    """
-    if isinstance(kernel, RandomFeatureMap):
-        phi_a = rff.feature_matrix(kernel, A)
-        phi_b = phi_a if B is None else rff.feature_matrix(kernel, B)
-        return phi_a @ phi_b.T
-    return kernels.gram(kernel, A, B)
-
-
 def as_points(X, dim: int) -> np.ndarray:
     """X as an (m, dim) float array; ValueError for any other shape."""
     X = np.asarray(X, dtype=np.float64)
@@ -86,7 +74,7 @@ class SvmModel:
 
     alphas: np.ndarray
     support: Database
-    kernel: KernelSpec | RandomFeatureMap
+    kernel: KernelSpec
     C: float
     objective: float
     residual: float
@@ -174,7 +162,7 @@ def _face_step(Q, alphas, q, free, upper) -> bool:
 
 def solve_svm_dual(
     db: Database,
-    kernel,
+    kernel: KernelSpec,
     C: float,
     tol: float = 1e-8,
     max_sweeps: int = 10**6,
@@ -196,7 +184,8 @@ def solve_svm_dual(
 
     Args:
         db: training database (n > 1 entries).
-        kernel: a KernelSpec, or a RandomFeatureMap whose induced kernel is used.
+        kernel: a KernelSpec. A feature map is not one: train the linear
+            kernel on its feature matrix instead.
         C: positive regularization trade-off; box constraints are [0, C/n].
         tol: KKT residual required at exit.
         max_sweeps: sweep limit before ConvergenceError.
@@ -205,6 +194,9 @@ def solve_svm_dual(
         SvmModel with feasible coefficients, the achieved dual objective, the
         exit residual, and the per-sweep objective trace.
     """
+    if not isinstance(kernel, KernelSpec):
+        raise ValueError("kernel must be a KernelSpec; for a random feature map,"
+                         " solve linear_kernel() on feature_matrix(map, X)")
     if C <= 0:
         raise ValueError("C must be positive")
     if tol <= 0 or max_sweeps < 1:
@@ -213,7 +205,7 @@ def solve_svm_dual(
     y = db.labels
     # The Gram is exactly symmetric, so its transpose is Q's column-major
     # layout, which makes each column Q[:, i] the sweep reads contiguous.
-    Q = gram_any(kernel, db.points).T
+    Q = kernels.gram(kernel, db.points).T
     Q *= y[:, None]
     Q *= y
     diag = np.diag(Q)
@@ -279,24 +271,15 @@ def solve_svm_dual(
     )
 
 
-def features(kernel, X: np.ndarray) -> np.ndarray:
-    """Feature matrix Phi of the rows of X under a finite feature map: X itself
-    for the linear kernel, cosine/sine features for a random feature map."""
-    if isinstance(kernel, RandomFeatureMap):
-        return rff.feature_matrix(kernel, X)
-    if kernel.family != kernels.LINEAR:
-        raise ValueError(f"the {kernel.family} kernel has no finite feature map")
-    return X
-
-
 def primal_weights(model: SvmModel) -> np.ndarray:
-    """Weight vector Phi^T (a * y) of a model trained on a finite feature map."""
-    phi = features(model.kernel, model.support.points)
-    return phi.T @ (model.alphas * model.support.labels)
+    """Weight vector X^T (a * y) of a linear-kernel model on feature vectors X."""
+    if model.kernel.family != kernels.LINEAR:
+        raise ValueError(f"the {model.kernel.family} kernel has no finite feature map")
+    return model.support.points.T @ (model.alphas * model.support.labels)
 
 
 def decision_values(model: SvmModel, X) -> np.ndarray:
     """Decision values sum_i a_i y_i k(x, x_i) for the rows x of X."""
     X = as_points(X, model.support.dim)
-    K = gram_any(model.kernel, X, model.support.points)
+    K = kernels.gram(model.kernel, X, model.support.points)
     return K @ (model.alphas * model.support.labels)

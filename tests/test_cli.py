@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from privsvm.mechanisms import (
 )
 from privsvm.model_io import load_model, save_model
 from privsvm.mechanisms import PrivateModel
-from privsvm.data import load_csv
+from privsvm.data import Database, load_csv
 from privsvm.kernels import linear_kernel, rbf_kernel
 from privsvm.noise import sample_laplace
-from privsvm.rff import RandomFeatureMap
+from privsvm.rff import RandomFeatureMap, feature_matrix
 from privsvm.solver import primal_weights, solve_svm_dual
 
 TWO_POINT = "1.0,0.0,+1\n-1.0,0.0,-1\n"
@@ -191,10 +192,10 @@ def test_private_train_finite_deterministic(capsys, data_file, tmp_path):
     assert main(base + ["--out", out1]) == 0
     assert main(base + ["--out", out2]) == 0
     capsys.readouterr()
-    assert open(out1).read() == open(out2).read()
+    assert Path(out1).read_text() == Path(out2).read_text()
     model = load_model(out1)
     assert model.seed == 7
-    assert model.claimed["kappa"] == pytest.approx(1.0)
+    assert "kappa" not in model.claimed
 
 
 def test_private_train_rff_writes_map(capsys, data_file, tmp_path):
@@ -210,9 +211,8 @@ def test_private_train_rff_writes_map(capsys, data_file, tmp_path):
     assert model.weights.shape == (16,)
 
 
-def test_private_train_rff_release_holds_only_public_fields(capsys, tmp_path):
-    # every field of the written file is n, dim, the noisy weights, a flag,
-    # or re-derivable from --seed; nothing else computed from the data
+def write_public_fields_data(tmp_path):
+    """A 20-point 3-D CSV file in [-1, 1]^3 for the release-contract tests."""
     rng = np.random.default_rng(5)
     points = rng.uniform(-1, 1, (20, 3))
     labels = np.where(rng.random(20) < 0.5, 1, -1)
@@ -220,6 +220,49 @@ def test_private_train_rff_release_holds_only_public_fields(capsys, tmp_path):
     data.write_text("".join(
         ",".join(repr(float(v)) for v in row) + f",{l:+d}\n" for row, l in zip(points, labels)
     ))
+    return data
+
+
+def assert_checksum_covers_the_rest(doc):
+    rest = {k: v for k, v in doc.items() if k != "checksum"}
+    payload = json.dumps(rest, sort_keys=True, separators=(",", ":"))
+    assert doc["checksum"] == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def test_private_train_finite_release_holds_only_public_fields(capsys, tmp_path):
+    # every field of the written file is n, dim, the noisy weights, a flag,
+    # or re-derivable from --seed; no norm or bound taken from the data
+    data = write_public_fields_data(tmp_path)
+    out_path = tmp_path / "finite.json"
+    seed, C, lam = 11, 2.0, 0.3
+    code, _, _ = run(capsys, [
+        "private-train-finite", "--data", str(data), "--c", str(C), "--lambda", str(lam),
+        "--seed", str(seed), "--beta", "1.5", "--eps", "0.25", "--delta", "0.05",
+        "--out", str(out_path),
+    ])
+    assert code == 0
+    doc = json.loads(out_path.read_text())
+    assert set(doc) == {"format_version", "mechanism", "kernel", "C", "lambda", "n", "dim",
+                        "seed", "claimed", "weights", "checksum"}
+    assert doc["format_version"] == 1
+    assert doc["mechanism"] == "private_finite"
+    assert doc["kernel"] == {"family": "linear"}
+    assert (doc["C"], doc["lambda"], doc["seed"]) == (C, lam, seed)
+    assert doc["claimed"] == {"beta": 1.5, "epsilon": 0.25, "delta": 0.05,
+                              "L": 1.0, "F": 3, "n": 20}
+    assert (doc["n"], doc["dim"]) == (20, 3)
+    # the noisy weights: this data's primal weights plus the first d Laplace
+    # draws of default_rng(seed)
+    clean = primal_weights(solve_svm_dual(load_csv(str(data)), linear_kernel(), C))
+    noise = sample_laplace(lam, 3, np.random.default_rng(seed))
+    assert np.array_equal(np.array(doc["weights"]), clean + noise)
+    assert_checksum_covers_the_rest(doc)
+
+
+def test_private_train_rff_release_holds_only_public_fields(capsys, tmp_path):
+    # every field of the written file is n, dim, the noisy weights, a flag,
+    # or re-derivable from --seed; nothing else computed from the data
+    data = write_public_fields_data(tmp_path)
     out_path = tmp_path / "rff.json"
     seed, d_hat, sigma, C, lam = 11, 6, 0.7, 2.0, 0.3
     code, _, _ = run(capsys, [
@@ -247,12 +290,11 @@ def test_private_train_rff_release_holds_only_public_fields(capsys, tmp_path):
     # Laplace draws of the same generator
     gen = np.random.default_rng(seed)
     fmap = RandomFeatureMap.from_rng(rbf_kernel(sigma), 3, d_hat, gen)
-    clean = primal_weights(solve_svm_dual(load_csv(str(data)), fmap, C))
+    db = load_csv(str(data))
+    phi = Database(feature_matrix(fmap, db.points), db.labels)
+    clean = primal_weights(solve_svm_dual(phi, linear_kernel(), C))
     assert np.array_equal(np.array(doc["weights"]), clean + sample_laplace(lam, 2 * d_hat, gen))
-    # the checksum covers exactly the other fields
-    rest = {k: v for k, v in doc.items() if k != "checksum"}
-    payload = json.dumps(rest, sort_keys=True, separators=(",", ":"))
-    assert doc["checksum"] == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    assert_checksum_covers_the_rest(doc)
 
 
 def test_private_train_requires_seed(capsys, data_file, tmp_path):

@@ -118,6 +118,28 @@ def test_database_is_immutable():
         db.points[0, 0] = 5.0
 
 
+def test_database_copies_arrays_it_could_not_keep_frozen():
+    # a writeable array, or a read-only view of one, could still change
+    # under the Database, so it is copied; a read-only array that owns its
+    # memory is kept as it is, so a feature matrix is held once
+    labels = np.array([1.0, -1.0, 1.0])
+    writeable = np.arange(6.0).reshape(3, 2)
+    db = Database(writeable, labels)
+    assert not np.shares_memory(db.points, writeable)
+    writeable[0, 0] = 9.0
+    assert db.points[0, 0] == 0.0
+    base = np.arange(8.0).reshape(4, 2)
+    view = base[:3]
+    view.setflags(write=False)
+    db = Database(view, labels)
+    assert not np.shares_memory(db.points, base)
+    base[0, 0] = 9.0
+    assert db.points[0, 0] == 0.0
+    owned = np.arange(6.0).reshape(3, 2).copy()
+    owned.setflags(write=False)
+    assert Database(owned, labels).points is owned
+
+
 def test_neighbor_replace_last():
     db = load_csv(io.StringIO(SAMPLE))
     flipped = neighbor_replace_last(db, Example(np.array([0.5, 0.5]), -1))

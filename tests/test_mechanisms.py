@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import privsvm.mechanisms as mechanisms
+import privsvm.rff as rff
 from privsvm.data import Database
 from privsvm.kernels import cauchy_kernel, laplacian_kernel, linear_kernel, rbf_kernel
 from privsvm.mechanisms import (
@@ -87,8 +88,25 @@ def test_private_rff_zero_noise_releases_primal_weights(monkeypatch):
     rng = np.random.default_rng(41)
     db = Database(rng.uniform(-1, 1, (9, 2)), rng.choice([-1.0, 1.0], 9))
     model = train_private_rff(db, rbf_kernel(0.8), 1.5, 0.1, 20, np.random.default_rng(3))
-    expected = primal_weights(solve_svm_dual(db, model.feature_map, 1.5))
+    phi = Database(feature_matrix(model.feature_map, db.points), db.labels)
+    expected = primal_weights(solve_svm_dual(phi, linear_kernel(), 1.5))
     assert np.array_equal(model.weights, expected)
+
+
+def test_private_rff_computes_the_feature_matrix_once(monkeypatch):
+    # the release trains the linear SVM on the one feature matrix it keeps
+    calls = []
+    original = rff.feature_matrix
+
+    def counted(m, X):
+        calls.append(X.shape)
+        return original(m, X)
+
+    monkeypatch.setattr(rff, "feature_matrix", counted)
+    rng = np.random.default_rng(41)
+    db = Database(rng.uniform(-1, 1, (9, 2)), rng.choice([-1.0, 1.0], 9))
+    train_private_rff(db, rbf_kernel(0.8), 1.5, 0.1, 20, np.random.default_rng(3))
+    assert calls == [(9, 2)]
 
 
 def test_private_rff_label_flip_negates_weights(monkeypatch):

@@ -12,7 +12,6 @@ from privsvm.solver import (
     _DEGENERATE_DIAG,
     ConvergenceError,
     decision_values,
-    gram_any,
     kkt_residual,
     primal_weights,
     solve_svm_dual,
@@ -24,13 +23,16 @@ def two_point_db():
 
 
 def independent_q(db, kernel):
-    """Q = (y y^T) * K from kernels.gram, or from the feature matrix for random features."""
+    """Q = (y y^T) * K from kernels.gram."""
+    return (db.labels[:, None] * db.labels[None, :]) * gram(kernel, db.points)
+
+
+def on_features(kernel, points):
+    """The kernel and points to solve on: a random feature map is the linear
+    kernel on its feature matrix, an exact kernel is itself on the points."""
     if isinstance(kernel, RandomFeatureMap):
-        phi = feature_matrix(kernel, db.points)
-        K = phi @ phi.T
-    else:
-        K = gram(kernel, db.points)
-    return (db.labels[:, None] * db.labels[None, :]) * K
+        return linear_kernel(), feature_matrix(kernel, points)
+    return kernel, points
 
 
 def brute_force_dual_max(db, kernel, C, step=1e-3):
@@ -195,13 +197,13 @@ def test_primal_dual_consistency_linear():
         db, _, C = random_instance(rng, n=6)
         X = rng.uniform(-1, 1, (5, 2))
         for feature_map in maps:
-            model = solve_svm_dual(db, feature_map, C)
+            kernel, phi = on_features(feature_map, db.points)
+            model = solve_svm_dual(Database(phi, db.labels), kernel, C)
             released = PrivateModel(
                 primal_weights(model), feature_map, C, 1.0, n=db.n, dim=db.dim
             )
-            assert np.allclose(
-                released.decision_values(X), decision_values(model, X), rtol=0, atol=1e-9
-            )
+            dual = decision_values(model, on_features(feature_map, X)[1])
+            assert np.allclose(released.decision_values(X), dual, rtol=0, atol=1e-9)
     with pytest.raises(ValueError, match="no finite feature map"):
         primal_weights(solve_svm_dual(db, rbf_kernel(1.0), C))
 
@@ -225,11 +227,19 @@ def test_decision_values_rejects_bad_shape(decide, X):
     RandomFeatureMap.from_rng(rbf_kernel(1.0), 3, 40, np.random.default_rng(5)),
 ], ids=["linear", "rbf", "laplacian", "cauchy", "rff"])
 @pytest.mark.parametrize("n", [2, 7, 1000])
-def test_gram_any_is_exactly_symmetric(kernel, n):
+def test_gram_is_exactly_symmetric(kernel, n):
     # the solver builds Q in place from the Gram's transpose
     A = np.random.default_rng(n).uniform(-2, 2, (n, 3))
-    G = gram_any(kernel, A)
+    G = gram(*on_features(kernel, A))
     assert np.array_equal(G, G.T)
+
+
+def test_solver_rejects_a_random_feature_map():
+    # the solver knows only exact kernels; random features are the linear
+    # kernel on the map's feature matrix
+    fmap = RandomFeatureMap.from_rng(rbf_kernel(1.0), 2, 16, np.random.default_rng(4))
+    with pytest.raises(ValueError, match=r"linear_kernel\(\) on feature_matrix\(map, X\)"):
+        solve_svm_dual(two_point_db(), fmap, 1.0)
 
 
 def test_oracle_equivalence_small_instances():
@@ -248,8 +258,10 @@ def test_oracle_equivalence_small_instances():
 @pytest.mark.parametrize("C", [1.0, 100.0, 1000.0])
 def test_active_set_matches_full_cycle_reference(kernel, C):
     rng = np.random.default_rng(int(C))
-    db = Database(rng.uniform(-1, 1, (40, 3)), rng.choice([-1.0, 1.0], 40))
-    assert_matches_reference(db, kernel, C)
+    points = rng.uniform(-1, 1, (40, 3))
+    labels = rng.choice([-1.0, 1.0], 40)
+    kernel, phi = on_features(kernel, points)
+    assert_matches_reference(Database(phi, labels), kernel, C)
 
 
 def test_monotone_objective_trace():
