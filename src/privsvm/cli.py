@@ -148,10 +148,7 @@ def _cmd_predict(args) -> int:
         values = decision_values(model, rows)
     else:
         values = model.decision_values(rows)
-    for v in values:
-        v = float(v)
-        sign = 1 if v >= 0 else -1
-        print(f"{v!r} {sign:+d}")
+    sys.stdout.write("".join(f"{v!r} {'+1' if v >= 0 else '-1'}\n" for v in values.tolist()))
     return 0
 
 

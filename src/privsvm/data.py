@@ -180,14 +180,25 @@ def read_rows(source, has_header: bool = False) -> tuple[np.ndarray, list[int]]:
     rows = []
     line_numbers = []
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if not row or all(tok.strip() == "" for tok in row):
-            continue
-        rows.append([tok.strip() for tok in row])
-        line_numbers.append(lineno)
+        if any(map(str.strip, row)):  # float() ignores the padding itself
+            rows.append(row)
+            line_numbers.append(lineno)
     if has_header and rows:
         rows = rows[1:]
         line_numbers = line_numbers[1:]
-    width = len(rows[0]) if rows else 0
+    if not rows:
+        return np.empty((0, 0)), line_numbers
+    try:
+        # numpy converts each str by Python's float rules
+        values = np.array(rows, dtype=np.float64)
+    except ValueError:
+        values = _rows_one_by_one(rows, line_numbers)
+    return values, line_numbers
+
+
+def _rows_one_by_one(rows: list, line_numbers: list[int]) -> np.ndarray:
+    """`read_rows`' matrix built row by row, so a CsvError names the first bad row."""
+    width = len(rows[0])
     values = np.empty((len(rows), width))
     for r, (row, lineno) in enumerate(zip(rows, line_numbers)):
         if len(row) != width:
@@ -195,10 +206,10 @@ def read_rows(source, has_header: bool = False) -> tuple[np.ndarray, list[int]]:
                 f"row {lineno}: expected {width} fields, got {len(row)} (ragged row)"
             )
         try:
-            values[r] = [float(tok) for tok in row]
+            values[r] = [float(tok.strip()) for tok in row]
         except ValueError as exc:
             raise CsvError(f"row {lineno}: {exc}") from None
-    return values, line_numbers
+    return values
 
 
 def split_labels(values: np.ndarray, line_numbers: list[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -83,8 +83,9 @@ class PrivateModel:
     def __post_init__(self):
         weights = np.array(self.weights, dtype=np.float64)
         weights.setflags(write=False)
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        for name, value in (("C", self.C), ("lam", self.lam)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if isinstance(self.feature_map, RandomFeatureMap):
             if self.feature_map.dim != self.dim:
                 raise ValueError(
@@ -128,8 +129,8 @@ def features(fmap, X: np.ndarray) -> np.ndarray:
 def _release(db, fmap, C, lam, rng, claimed, seed) -> PrivateModel:
     # Train the linear SVM on the map's feature matrix, then add one
     # Laplace(0, lam) draw per weight.
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("lam must be finite and positive")
     phi = Database(features(fmap, db.points), db.labels)
     w = primal_weights(solve_svm_dual(phi, linear_kernel(), C))
     return PrivateModel(

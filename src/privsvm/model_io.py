@@ -1,10 +1,18 @@
 """Versioned JSON persistence for trained models and audit reports.
 
+A model file is a JSON object with one top-level field per line, in sorted
+key order with `checksum` last, each value in compact form (no spaces).
 Real values are written with Python's shortest round-trip repr (never more
-than 17 significant digits), so save followed by load reproduces every float
-bit for bit. Files for the private mechanisms contain only the released
-information; writing one re-checks that no dual coefficients or training
-entries leak into the document.
+than 17 significant digits), so save followed by load reproduces every
+float bit for bit; a non-finite real is written as the string "inf", "-inf"
+or "nan". The `checksum` field is the SHA-256 of the compact, sorted-key
+UTF-8 JSON of all other fields as written, which is those same field
+encodings joined. Each field is encoded once, from arrays through
+`ndarray.tolist()`, and serves both the checksum and the file.
+
+Files for the private mechanisms contain only the released information;
+writing one re-checks that no dual coefficients or training entries leak
+into the document.
 """
 
 from __future__ import annotations
@@ -29,10 +37,17 @@ FORMAT_VERSION = 1
 
 _RELEASED_FORBIDDEN = ("alphas", "entries")
 _floats = partial(np.asarray, dtype=np.float64)
+_compact = partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
-def _checksum(doc: dict) -> str:
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def _encode(doc: dict) -> dict:
+    """Each field's compact JSON text, keyed by the field's JSON-quoted name, in sorted order."""
+    return {json.dumps(key): _compact(doc[key]) for key in sorted(doc)}
+
+
+def _checksum(fields: dict) -> str:
+    # byte for byte json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    payload = "{" + ",".join(f"{key}:{value}" for key, value in fields.items()) + "}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -52,40 +67,54 @@ def _scrub(obj):
     return obj
 
 
+def _reals(values):
+    """A real scalar or array as JSON-ready Python floats or nested lists."""
+    values = np.asarray(values, dtype=np.float64)
+    out = values.tolist()
+    return out if np.isfinite(values).all() else _scrub(out)
+
+
 def dumps(doc: dict) -> str:
     return json.dumps(_scrub(doc), indent=2)
 
 
-def model_to_doc(model) -> dict:
+def _document(model) -> tuple[dict, dict]:
+    """The model's document and its field encodings, `checksum` included in both."""
     if isinstance(model, SvmModel):
         doc = _svm_doc(model)
     elif isinstance(model, PrivateModel):
         doc = _private_doc(model)
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    doc["checksum"] = _checksum(doc)
-    return doc
+    fields = _encode(doc)
+    doc["checksum"] = _checksum(fields)
+    fields['"checksum"'] = _compact(doc["checksum"])
+    return doc, fields
+
+
+def model_to_doc(model) -> dict:
+    """The document `save_model` writes: `json.loads` of the file equals it."""
+    return _document(model)[0]
 
 
 def _svm_doc(model: SvmModel) -> dict:
     db = model.support
+    labels = db.labels.astype(np.int64).tolist()
     doc = {
         "format_version": FORMAT_VERSION,
         "mechanism": "svm",
         "kernel": model.kernel.to_doc(),
-        "C": float(model.C),
+        "C": _reals(model.C),
         "n": db.n,
         "dim": db.dim,
-        "alphas": [float(a) for a in model.alphas],
-        "entries": [
-            [float(v) for v in db.points[i]] + [int(db.labels[i])] for i in range(db.n)
-        ],
-        "objective": float(model.objective),
-        "residual": float(model.residual),
+        "alphas": _reals(model.alphas),
+        "entries": [row + [y] for row, y in zip(_reals(db.points), labels)],
+        "objective": _reals(model.objective),
+        "residual": _reals(model.residual),
         "sweeps": int(model.sweeps),
     }
     if model.kernel.family == "linear":
-        doc["weights"] = [float(v) for v in primal_weights(model)]
+        doc["weights"] = _reals(primal_weights(model))
     return doc
 
 
@@ -95,9 +124,9 @@ def _private_doc(model: PrivateModel) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
         "kernel": (fmap.kernel if is_rff else fmap).to_doc(),
-        "C": float(model.C),
-        "lambda": float(model.lam),
-        "weights": [float(v) for v in model.weights],
+        "C": _reals(model.C),
+        "lambda": _reals(model.lam),
+        "weights": _reals(model.weights),
         "claimed": _scrub(model.claimed),
         "n": int(model.n),
         "dim": int(model.dim),
@@ -107,7 +136,7 @@ def _private_doc(model: PrivateModel) -> dict:
     if is_rff:
         doc["mechanism"] = "private_rff"
         doc["d_hat"] = fmap.d_hat
-        doc["omegas"] = [[float(v) for v in row] for row in fmap.omegas]
+        doc["omegas"] = _reals(fmap.omegas)
     else:
         doc["mechanism"] = "private_finite"
     for key in _RELEASED_FORBIDDEN:
@@ -139,7 +168,7 @@ def model_from_doc(doc: dict):
         raise ValueError("model document must be a JSON object")
     doc = _Fields(doc)
     stored = doc.pop("checksum", None)
-    if stored is not None and stored != _checksum(doc):
+    if stored is not None and stored != _checksum(_encode(doc)):
         raise ValueError("checksum mismatch: document was altered")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
@@ -181,9 +210,10 @@ def model_from_doc(doc: dict):
 
 
 def save_model(model, path) -> None:
+    fields = _document(model)[1]
+    text = "{\n" + ",\n".join(f"{key}:{value}" for key, value in fields.items()) + "\n}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(model_to_doc(model)))
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path):

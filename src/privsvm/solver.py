@@ -29,6 +29,7 @@ as random features, is trained as the linear kernel on its feature matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,8 @@ class SvmModel:
                 f"alphas must have one entry per support example, shape ({self.support.n},);"
                 f" got shape {alphas.shape}"
             )
+        if not (math.isfinite(self.C) and self.C > 0):
+            raise ValueError("C must be finite and positive")
         alphas.setflags(write=False)
         object.__setattr__(self, "alphas", alphas)
 
@@ -186,7 +189,7 @@ def solve_svm_dual(
         db: training database (n > 1 entries).
         kernel: a KernelSpec. A feature map is not one: train the linear
             kernel on its feature matrix instead.
-        C: positive regularization trade-off; box constraints are [0, C/n].
+        C: finite, positive regularization trade-off; box constraints are [0, C/n].
         tol: KKT residual required at exit.
         max_sweeps: sweep limit before ConvergenceError.
 
@@ -197,8 +200,8 @@ def solve_svm_dual(
     if not isinstance(kernel, KernelSpec):
         raise ValueError("kernel must be a KernelSpec; for a random feature map,"
                          " solve linear_kernel() on feature_matrix(map, X)")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError("C must be finite and positive")
     if tol <= 0 or max_sweeps < 1:
         raise ValueError("tol and max_sweeps must be positive")
     n = db.n

@@ -95,6 +95,26 @@ def test_bad_label_is_computation_error(capsys, tmp_path):
     assert "label" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--kernel", "linear", "--c", "inf"],
+    ["train", "--kernel", "linear", "--c", "nan"],
+    ["private-train-finite", "--c", "inf", "--lambda", "0.1", "--seed", "1"],
+    ["private-train-finite", "--c", "1.0", "--lambda", "nan", "--seed", "1"],
+    ["private-train-rff", "--kernel", "rbf", "--sigma", "1.0", "--c", "1.0",
+     "--lambda", "inf", "--d-hat", "4", "--seed", "1"],
+], ids=["train-c-inf", "train-c-nan", "finite-c-inf", "finite-lambda-nan", "rff-lambda-inf"])
+def test_non_finite_c_or_lambda_is_an_error_line(capsys, data_file, tmp_path, argv):
+    # a model trained with C = inf used to be written, and then failed its
+    # own checksum on load
+    out_path = tmp_path / "m.json"
+    code, out, err = run(capsys, argv + ["--data", data_file, "--out", str(out_path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "must be finite and positive" in err
+    assert not out_path.exists()
+
+
 def test_predict_two_point_model(capsys, data_file, tmp_path):
     model_path = str(tmp_path / "model.json")
     assert main(["train", "--data", data_file, "--kernel", "linear",
@@ -127,8 +147,11 @@ SVM = {"format_version": 1, "mechanism": "svm", "kernel": {"family": "linear"}, 
     ({**FINITE, "seed": "abc"}, "'seed'"),
     ({**FINITE, "kernel": {"family": "rbf", "sigma": "abc"}}, "sigma"),
     ({**SVM, "alphas": [0.25]}, "alphas"),
+    ({**SVM, "C": "inf"}, "C must be finite and positive"),
+    ({**FINITE, "lambda": "nan"}, "lam must be finite and positive"),
 ], ids=["no-kernel", "no-weights", "kernel-no-family", "n-null", "C-null", "claimed-list",
-        "entries-1d", "seed-string", "sigma-string", "alphas-short"])
+        "entries-1d", "seed-string", "sigma-string", "alphas-short", "svm-C-inf",
+        "lambda-nan"])
 def test_predict_model_missing_field_is_an_error_line(capsys, data_file, tmp_path, doc, field):
     model = tmp_path / "bad.json"
     model.write_text(json.dumps(doc))
@@ -183,6 +206,20 @@ def test_predict_zero_model_sign_tie(capsys, tmp_path):
     assert code == 0
     for line in out.strip().splitlines():
         assert line == "0.0 +1"
+
+
+def test_predict_output_bytes(capsys, monkeypatch, tmp_path):
+    # one "repr(value) sign" line per row; -0.0 keeps its sign and counts as +1
+    model_path = tmp_path / "zero.json"
+    save_model(PrivateModel(np.zeros(2), linear_kernel(), 1.0, 0.1, n=2, dim=2), model_path)
+    probe = tmp_path / "probe.csv"
+    probe.write_text("0.5,0.5\n" * 7)
+    values = np.array([-0.0, 0.0, 5e-324, -2.5, 0.1, 1 / 3, -1e22])
+    monkeypatch.setattr(PrivateModel, "decision_values", lambda self, X: values)
+    code, out, _ = run(capsys, ["predict", "--model", str(model_path), "--data", str(probe)])
+    assert code == 0
+    assert out == ("-0.0 +1\n0.0 +1\n5e-324 +1\n-2.5 -1\n0.1 +1\n"
+                   "0.3333333333333333 +1\n-1e+22 -1\n")
 
 
 def test_private_train_finite_deterministic(capsys, data_file, tmp_path):

@@ -78,6 +78,60 @@ def test_load_csv_non_numeric_reports_index():
         load_csv(io.StringIO("1.0,0.0,+1\n0.0,1.0,-1\nfoo,1.0,-1"))
 
 
+# padded and quoted tokens, CRLF, blank and whitespace-only lines, a header,
+# and tokens whose parse is easy to get wrong
+CORNER_CSV = (
+    'x1,"x 2",y\r\n'
+    "\r\n"
+    ' 1.5 ,"-0.0", +1 \r\n'
+    "   ,  \r\n"
+    "1_000,1e-400,-1\n"
+    '"inf",\t2\t,+1\n'
+    "\n"
+    "nan,-nan,1\r\n"
+    '" -0.0 ",+1,-1\n'
+)
+
+
+def per_token_reference(text, has_header):
+    """The row-by-row parse: float(tok.strip()) per token, blank rows skipped."""
+    rows, line_numbers = [], []
+    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if row and not all(tok.strip() == "" for tok in row):
+            rows.append(row)
+            line_numbers.append(lineno)
+    if has_header:
+        rows, line_numbers = rows[1:], line_numbers[1:]
+    return np.array([[float(tok.strip()) for tok in row] for row in rows]), line_numbers
+
+
+def test_read_rows_matches_per_token_reference():
+    values, line_numbers = read_rows(io.BytesIO(CORNER_CSV.encode()), has_header=True)
+    expected, expected_lines = per_token_reference(CORNER_CSV, True)
+    assert values.shape == (5, 3) and values.dtype == np.float64
+    # bytes, so the sign of -0.0 and the nan payloads count too
+    assert values.tobytes() == expected.tobytes()
+    assert line_numbers == expected_lines == [3, 5, 6, 8, 9]
+    assert np.signbit(values[0, 1]) and values[1].tolist() == [1000.0, 0.0, -1.0]
+
+
+def test_read_rows_without_rows_is_empty():
+    values, line_numbers = read_rows(io.StringIO("\n  ,\r\nx,y\n"), has_header=True)
+    assert values.shape == (0, 0) and line_numbers == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.0,2.0\n\n0.5, foo ,\n", "row 3: expected 2 fields, got 3 (ragged row)"),
+    ("1.0,2.0\n\n0.5, foo \n1.0\n", "row 3: could not convert string to float: 'foo'"),
+    ("1.0,2.0\n0.5,1_\n", "row 2: could not convert string to float: '1_'"),
+    ("1.0,2.0\n0.5,\n", "row 2: could not convert string to float: ''"),
+])
+def test_read_rows_error_names_first_bad_row(text, message):
+    with pytest.raises(CsvError) as info:
+        read_rows(io.StringIO(text))
+    assert str(info.value) == message
+
+
 def test_csv_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     points = np.concatenate(

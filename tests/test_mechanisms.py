@@ -151,6 +151,15 @@ def test_private_model_decisions():
     assert value == pytest.approx(float(rffm.weights @ phi), abs=1e-12)
 
 
+@pytest.mark.parametrize("C, lam, name", [
+    (math.inf, 0.1, "C"), (math.nan, 0.1, "C"), (0.0, 0.1, "C"),
+    (1.0, math.inf, "lam"), (1.0, math.nan, "lam"),
+])
+def test_private_model_requires_finite_positive_c_and_lambda(C, lam, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        PrivateModel(np.zeros(2), linear_kernel(), C, lam, n=2, dim=2)
+
+
 def test_private_model_validation():
     with pytest.raises(ValueError):
         PrivateModel(np.zeros(3), linear_kernel(), 1.0, 0.1, n=2, dim=2)

@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from test_cli import assert_checksum_covers_the_rest
 
 from privsvm.data import Database
 from privsvm.kernels import laplacian_kernel, linear_kernel, rbf_kernel
@@ -133,3 +136,60 @@ def test_checksum_tamper_detected(tmp_path):
     doc2.pop("checksum")
     doc2["lambda"] = 99.0
     assert model_from_doc(doc2).lam == 99.0
+
+
+def saved_models():
+    db = sample_db(8, n=12)
+    return {
+        "svm_rbf": solve_svm_dual(db, rbf_kernel(0.9), 1.5),
+        "svm_linear": solve_svm_dual(db, linear_kernel(), 2.0),
+        "private_finite": train_private_finite(
+            db, 1.0, 0.25, np.random.default_rng(3), claimed={"beta": 1.0, "n": 12}, seed=3
+        ),
+        "private_rff": train_private_rff(
+            db, rbf_kernel(1.0), 1.0, 0.2, 6, np.random.default_rng(4),
+            claimed={"epsilon": 0.5, "delta": 0.1}, seed=4,
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["svm_rbf", "svm_linear", "private_finite", "private_rff"])
+def test_file_holds_model_to_doc(tmp_path, kind):
+    model = saved_models()[kind]
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    text = path.read_text()
+    doc = json.loads(text)
+    assert doc == model_to_doc(model)
+    assert_checksum_covers_the_rest(doc)
+    # one top-level field per line, each value compact
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}" and len(lines) == len(doc) + 2
+    assert not any(" " in line for line in lines)
+    if kind.startswith("svm"):
+        db = model.support
+        assert doc["alphas"] == [float(a) for a in model.alphas]
+        assert doc["entries"] == [
+            [float(v) for v in db.points[i]] + [int(db.labels[i])] for i in range(db.n)
+        ]
+        assert all(type(row[-1]) is int for row in doc["entries"])
+    else:
+        assert doc["weights"] == [float(v) for v in model.weights]
+    if kind == "private_rff":
+        assert doc["omegas"] == [[float(v) for v in row] for row in model.feature_map.omegas]
+    assert load_model(path) == model
+
+
+def test_non_finite_reals_round_trip(tmp_path):
+    # the checksum covers the document as written, "inf" and "nan" strings included
+    fitted = solve_svm_dual(sample_db(9), linear_kernel(), 1.0)
+    model = dataclasses.replace(fitted, objective=math.inf, residual=math.nan)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert (doc["objective"], doc["residual"]) == ("inf", "nan")
+    assert doc == model_to_doc(model)
+    assert_checksum_covers_the_rest(doc)
+    loaded = load_model(path)
+    assert loaded == model
+    assert loaded.objective == math.inf and math.isnan(loaded.residual)
