@@ -28,8 +28,6 @@ from .data import (
     CsvError,
     Database,
     DomainBox,
-    Example,
-    bounding_box,
     load_csv,
     neighbor_replace_last,
 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels as _kernels
 from . import mechanisms as _mechanisms
-from .data import Database, DomainBox, Example, bounding_box, neighbor_replace_last
+from .data import Database, DomainBox, neighbor_replace_last
 from .kernels import (
     KernelSpec,
     UnsupportedKernelError,
@@ -246,11 +246,10 @@ def sensitivity_audit(
         labels = rng.integers(0, 2, size=n) * 2.0 - 1.0
         shift = int(rng.integers(0, n))
         db = Database(np.roll(points, shift, axis=0), np.roll(labels, shift))
-        replacement = Example(
-            rng.uniform(box.lower, box.upper, size=d),
-            int(rng.integers(0, 2) * 2 - 1),
+        # the replacement point is drawn before its label
+        neighbor = neighbor_replace_last(
+            db, rng.uniform(box.lower, box.upper, size=d), rng.integers(0, 2) * 2 - 1
         )
-        neighbor = neighbor_replace_last(db, replacement)
         diff = (primal_weights(solve_svm_dual(db, linear_kernel(), C))
                 - primal_weights(solve_svm_dual(neighbor, linear_kernel(), C)))
         worst = max(worst, float(np.abs(diff).sum()))
@@ -271,28 +270,37 @@ def _mean_hinge(margins: np.ndarray) -> float:
     return float(np.mean(np.maximum(0.0, 1.0 - margins)))
 
 
+def _require_box(box: DomainBox, dim: int):
+    if box.dim != dim:
+        raise ValueError(f"box has dimension {box.dim}, data has {dim}")
+
+
 def utility_audit(
     db: Database,
     params: MechanismParams,
     eps: float,
     delta: float,
     trials: int,
-    grid_resolution: int,
+    grid_resolution: int | None,
     seed: int,
-    box: DomainBox | None = None,
+    box: DomainBox,
 ) -> AuditReport:
     """Estimate how often the private classifier strays more than eps from its
-    non-private reference in sup-norm over the domain.
+    non-private reference in sup-norm over the declared box.
 
     The reference is the exact SVM on the same feature map (finite mechanism)
-    or on the exact kernel (rff mechanism). Each trial evaluates the released
-    PrivateModel (finite: the reference weights plus the mechanism's noise
-    draws; rff: a `train_private_rff` run) on a regular grid over the box,
-    augmented with the training points so the hinge-risk transfer check
-    (mean hinge gap <= sup gap, hinge being 1-Lipschitz) is exact. An rff
-    release is evaluated on the grid by `grid_values` and on the training
-    points by its feature matrix. Passing means the failure fraction is at
-    most delta.
+    or on the exact kernel (rff mechanism). For the finite mechanism a trial
+    adds the mechanism's noise draws mu to the reference weights; released
+    minus reference is mu^T x, linear in x, so its sup over the box is
+    attained at a corner and taken exactly, as
+    max(sum_j max(mu_j lo_j, mu_j hi_j), -sum_j min(mu_j lo_j, mu_j hi_j)),
+    and `grid_resolution` is unused. For the rff mechanism a trial is a
+    `train_private_rff` run, evaluated by `grid_values` on a regular grid
+    over the box with `grid_resolution` points per axis. Either sup is taken
+    together with the gaps at the training points, so the hinge-risk
+    transfer check there (mean hinge gap <= sup gap, hinge being
+    1-Lipschitz) is exact. Passing means the failure fraction is at most
+    delta.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive")
@@ -300,42 +308,49 @@ def utility_audit(
         raise ValueError("delta must lie in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be positive")
-    box = box if box is not None else bounding_box(db)
-    eval_points = np.vstack([box.grid(grid_resolution), db.points])
+    _require_box(box, db.dim)
     y = db.labels
 
+    # released(rng) gives one trial's sup gap over the box and its values at
+    # the training points.
     if params.mechanism == "finite":
+        grid_resolution = None  # unused: the sup over the box is exact
+        eval_count = db.n
         w_ref = primal_weights(solve_svm_dual(db, linear_kernel(), params.C))
-        ref_vals = eval_points @ w_ref
+        ref_train = db.points @ w_ref
 
-        def released_values(rng):
+        def released(rng):
             mu = _mechanisms._draw_noise(params.lam, db.dim, rng)
             model = PrivateModel(w_ref + mu, linear_kernel(), params.C, params.lam,
                                  n=db.n, dim=db.dim)
-            return model.decision_values(eval_points)
+            vals = model.decision_values(db.points)
+            lo, hi = mu * box.lower, mu * box.upper
+            box_sup = max(np.maximum(lo, hi).sum(), -np.minimum(lo, hi).sum())
+            return max(float(box_sup), float(np.max(np.abs(vals - ref_train)))), vals
     else:
+        eval_points = np.vstack([box.grid(grid_resolution), db.points])
+        eval_count = eval_points.shape[0]
         ref_vals = decision_values(solve_svm_dual(db, params.kernel, params.C), eval_points)
+        ref_train = ref_vals[-db.n:]
 
-        def released_values(rng):
+        def released(rng):
             model = train_private_rff(db, params.kernel, params.C, params.lam, params.d_hat, rng)
             w = model.weights
             coeffs = (w[0::2] - 1j * w[1::2]) / math.sqrt(params.d_hat)
-            return np.concatenate([
+            vals = np.concatenate([
                 grid_values(model.feature_map, coeffs, box, grid_resolution),
                 model.decision_values(db.points),
             ])
+            return float(np.max(np.abs(vals - ref_vals))), vals[-db.n:]
 
-    # The training points are the last n evaluation points.
-    ref_hinge = _mean_hinge(y * ref_vals[-db.n:])
+    ref_hinge = _mean_hinge(y * ref_train)
     failures = 0
     hinge_violation = 0.0
     for t in range(trials):
-        vals = released_values(child_rng(seed, t))
-        sup = float(np.max(np.abs(vals - ref_vals)))
+        sup, vals = released(child_rng(seed, t))
         if sup > eps:
             failures += 1
-        trial_hinge = _mean_hinge(y * vals[-db.n:])
-        hinge_violation = max(hinge_violation, abs(trial_hinge - ref_hinge) - sup)
+        hinge_violation = max(hinge_violation, abs(_mean_hinge(y * vals) - ref_hinge) - sup)
 
     statistic = failures / trials
     return AuditReport(
@@ -350,7 +365,7 @@ def utility_audit(
             "lambda": params.lam,
             "eps": eps,
             "grid_resolution": grid_resolution,
-            "eval_points": int(eval_points.shape[0]),
+            "eval_points": eval_count,
             "hinge_transfer_ok": bool(hinge_violation <= 1e-12),
             "hinge_transfer_violation": hinge_violation,
         },
@@ -437,6 +452,7 @@ def privacy_ratio_audit(
     bins: int,
     coordinate_index: int,
     seed: int,
+    box: DomainBox,
 ) -> AuditReport:
     """Finite-sample smoke test of the released coordinate's density ratio.
 
@@ -445,9 +461,11 @@ def privacy_ratio_audit(
     over bins holding at least 20 samples from each side. Passing means the
     statistic stays within beta plus the heuristic slack
     3 sqrt(2 / min bin count). This can expose a broken mechanism; it cannot
-    certify privacy.
+    certify privacy. `lambda_required_for_beta` takes kappa from the declared
+    box, never from the data.
     """
     _require_neighbors(db1, db2)
+    _require_box(box, db1.dim)
     if params.mechanism != "finite":
         raise ValueError("privacy ratio audit supports the finite mechanism only")
     if trials < 1 or bins < 2:
@@ -474,14 +492,10 @@ def privacy_ratio_audit(
     counts2, _ = np.histogram(samples[1], bins=edges)
     qualifying = (counts1 >= 20) & (counts2 >= 20)
 
-    kappa = max(
-        float(np.max(np.linalg.norm(db1.points, axis=1))),
-        float(np.max(np.linalg.norm(db2.points, axis=1))),
-    )
     details = {
         "lambda": params.lam,
         "lambda_required_for_beta": calibrate_noise_privacy_finite(
-            1.0, params.C, kappa, d, beta, db1.n
+            1.0, params.C, box.max_l2_norm(), d, beta, db1.n
         ),
         "beta": beta,
         "bins": bins,

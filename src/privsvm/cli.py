@@ -5,6 +5,10 @@ audit, predict, bounds. Results are JSON on stdout (predict emits plain
 "value sign" lines); diagnostics go to stderr. Exit codes: 0 success,
 1 computation error, 2 usage error.
 
+Every domain constant (kappa, Phi, the diameter, the audits' grids and
+boxes) comes from the declared box --box-min/--box-max, default [-1, 1]^d,
+never from the data.
+
 Every randomized subcommand requires an explicit --seed. Reusing a seed
 makes runs reproducible for testing and auditing, but a released model must
 use fresh randomness: repeating noise across releases voids the privacy
@@ -102,21 +106,18 @@ def _cmd_private_train_rff(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    box = _box_from_args(args, args.dim)
     if args.mechanism == "rff":
-        if args.diam is None:
-            raise _UsageError("--mechanism rff requires --diam")
         kernel = _kernel_from_args(args)
         sigma_p = spectral_second_moment(kernel, args.dim) ** 0.5
         report = mechanisms.calibration_report_rff(
             args.beta, args.eps, args.delta, args.c, args.n,
-            args.dim, sigma_p, args.diam,
+            args.dim, sigma_p, box.diameter(),
         )
     else:
-        if args.kappa is None or args.phi is None:
-            raise _UsageError("--mechanism finite requires --kappa and --phi")
         report = mechanisms.calibration_report_finite(
             args.beta, args.eps, args.delta, args.c, args.n,
-            args.kappa, args.phi, args.dim,
+            box.max_l2_norm(), box.max_abs_coordinate(), args.dim,
         )
     print(model_io.dumps(report.to_doc()))
     return 0
@@ -164,11 +165,13 @@ def _cmd_audit(args) -> int:
             params = audit_mod.MechanismParams(
                 "rff", args.c, args.lam, kernel=kernel, d_hat=args.d_hat
             )
+            grid = _grid_from_args(args, db.dim)
         else:
             params = audit_mod.MechanismParams("finite", args.c, args.lam)
-        grid = _grid_from_args(args, db.dim)
+            grid = None
         report = audit_mod.utility_audit(
-            db, params, args.eps, args.delta, args.trials, grid, args.seed
+            db, params, args.eps, args.delta, args.trials, grid, args.seed,
+            _box_from_args(args, db.dim),
         )
     elif name == "kernel-approx":
         kernel = _kernel_from_args(args)
@@ -182,7 +185,8 @@ def _cmd_audit(args) -> int:
         db2 = load_csv(args.data2, has_header=args.header)
         params = audit_mod.MechanismParams("finite", args.c, args.lam)
         report = audit_mod.privacy_ratio_audit(
-            db1, db2, params, args.beta, args.trials, args.bins, args.coord, args.seed
+            db1, db2, params, args.beta, args.trials, args.bins, args.coord, args.seed,
+            _box_from_args(args, db1.dim),
         )
     else:  # separation
         report = audit_mod.packing_separation_audit(args.c, args.n, args.sigma)
@@ -251,10 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--kernel", choices=_KERNEL_CHOICES, default="rbf")
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--diam", type=float, default=None, help="domain diameter (rff)")
-    p.add_argument("--kappa", type=float, default=None, help="max point norm (finite)")
-    p.add_argument("--phi", type=float, default=None,
-                   help="max feature coordinate magnitude (finite)")
+    p.add_argument("--box-min", type=float, default=-1.0)
+    p.add_argument("--box-max", type=float, default=1.0)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("audit", help="run a seeded audit and print its report")

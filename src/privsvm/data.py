@@ -10,14 +10,12 @@ import numpy as np
 
 __all__ = [
     "CsvError",
-    "Example",
     "Database",
     "DomainBox",
     "read_rows",
     "split_labels",
     "load_csv",
     "neighbor_replace_last",
-    "bounding_box",
 ]
 
 
@@ -26,36 +24,10 @@ class CsvError(ValueError):
 
 
 def _frozen_array(values, dtype=np.float64):
-    # kept if already read-only and owning its memory; a writeable array or a view is copied
-    if (isinstance(values, np.ndarray) and values.dtype == dtype and values.base is None
-            and not values.flags.writeable):
-        return values
+    # always a copy: numpy lets the owner of a read-only array make it writeable again
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class Example:
-    """One training example: a point in R^d and a label in {-1, +1}."""
-
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        x = _frozen_array(self.x)
-        if x.ndim != 1:
-            raise ValueError("example point must be a 1-D vector")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("example point must have finite entries")
-        if self.y not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.y!r}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", int(self.y))
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +76,9 @@ class Database:
 
 @dataclass(frozen=True, eq=False)
 class DomainBox:
-    """Axis-aligned box containing the data; supplies the sup-norm domain."""
+    """The declared public domain, an axis-aligned box fixed before the data
+    is seen; every domain constant (kappa, Phi, diameter, audit grids) is
+    taken from it."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -238,21 +212,16 @@ def load_csv(source, has_header: bool = False) -> Database:
     return Database(*split_labels(values, line_numbers))
 
 
-def neighbor_replace_last(db: Database, e: Example) -> Database:
-    """New database equal to `db` except the last entry is replaced by `e`."""
-    if e.dim != db.dim:
+def neighbor_replace_last(db: Database, x, y) -> Database:
+    """New database equal to `db` except the last entry is replaced by point
+    `x` with label `y`; the new Database validates both."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (db.dim,):
         raise ValueError(
-            f"replacement entry has dimension {e.dim}, database has {db.dim}"
+            f"replacement point has shape {x.shape}, database has dimension {db.dim}"
         )
     points = db.points.copy()
     labels = db.labels.copy()
-    points[-1] = e.x
-    labels[-1] = e.y
+    points[-1] = x
+    labels[-1] = y
     return Database(points, labels)
-
-
-def bounding_box(db: Database, margin: float = 0.0) -> DomainBox:
-    """Smallest axis-aligned box containing the data, expanded by `margin` per side."""
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    return DomainBox(db.points.min(axis=0) - margin, db.points.max(axis=0) + margin)

@@ -76,17 +76,16 @@ class RandomFeatureMap:
 
 
 def feature_matrix(m: RandomFeatureMap, X: np.ndarray) -> np.ndarray:
-    """Row-wise feature vectors for an (n, d) array of points: cos/sin pairs, unit norm,
-    in a fresh read-only array, which a Database keeps without a copy."""
+    """Row-wise feature vectors for an (n, d) array of points: cos/sin pairs,
+    unit norm, in a fresh array."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != m.dim:
         raise ValueError("points must be an (n, d) array matching the map dimension")
     z = X @ m.omegas.T
-    out = np.empty((X.shape[0], 2 * m.d_hat))
-    out[:, 0::2] = np.cos(z)
-    out[:, 1::2] = np.sin(z)
+    # Formed after cos and sin, the result lies above their freed space, which
+    # can then take a Database's copy of it instead of new memory.
+    out = np.stack([np.cos(z), np.sin(z)], axis=-1).reshape(X.shape[0], 2 * m.d_hat)
     out *= m.d_hat**-0.5
-    out.setflags(write=False)
     return out
 
 

@@ -17,7 +17,7 @@ from privsvm.audit import (
     sensitivity_audit,
     utility_audit,
 )
-from privsvm.data import Database, DomainBox, Example, bounding_box
+from privsvm.data import Database, DomainBox, neighbor_replace_last
 from privsvm.kernels import linear_kernel, rbf_kernel
 from privsvm.mechanisms import (
     calibrate_noise_privacy_finite,
@@ -135,9 +135,7 @@ def test_sensitivity_audit_reproducible():
 def test_identical_replacement_gives_zero_weight_gap():
     rng = np.random.default_rng(3)
     db = Database(rng.uniform(-1, 1, (10, 2)), rng.choice([-1.0, 1.0], 10))
-    from privsvm.data import neighbor_replace_last
-
-    twin = neighbor_replace_last(db, Example(db.points[-1], int(db.labels[-1])))
+    twin = neighbor_replace_last(db, db.points[-1], db.labels[-1])
     m1 = solve_svm_dual(db, linear_kernel(), 1.0)
     m2 = solve_svm_dual(twin, linear_kernel(), 1.0)
     w1 = db.points.T @ (m1.alphas * db.labels)
@@ -157,7 +155,7 @@ def test_utility_audit_zero_noise_statistic_is_zero(monkeypatch):
         mechanisms, "_draw_noise", lambda scale, count, rng: np.zeros(count)
     )
     params = MechanismParams("finite", 1.0, 0.05)
-    report = utility_audit(fixed_db(), params, 0.5, 0.1, 20, 11, seed=1)
+    report = utility_audit(fixed_db(), params, 0.5, 0.1, 20, None, 1, unit_box())
     assert report.statistic == 0.0
     assert report.details["hinge_transfer_ok"]
 
@@ -168,7 +166,7 @@ def test_utility_audit_finite_at_calibrated_noise():
     db = fixed_db()
     lam = calibrate_noise_utility_finite(0.5, 0.1, 1.0, 2)
     params = MechanismParams("finite", 1.0, lam)
-    report = utility_audit(db, params, 0.5, 0.1, 100, 21, seed=9)
+    report = utility_audit(db, params, 0.5, 0.1, 100, None, 9, unit_box())
     assert report.passed
     assert report.details["hinge_transfer_ok"]
 
@@ -176,7 +174,7 @@ def test_utility_audit_finite_at_calibrated_noise():
 def test_utility_audit_rff_mechanism_runs():
     db = fixed_db(n=12)
     params = MechanismParams("rff", 1.0, 1e-4, kernel=rbf_kernel(1.0), d_hat=400)
-    report = utility_audit(db, params, 0.75, 0.5, 10, 11, seed=3)
+    report = utility_audit(db, params, 0.75, 0.5, 10, 11, 3, unit_box())
     # tiny noise and a roomy eps: the feature-space model should track the
     # exact-kernel model in most draws
     assert report.statistic <= 0.5
@@ -189,9 +187,10 @@ def test_utility_audit_rff_matches_pointwise_evaluation(eps):
     # each release's decision_values gives on the same points
     db = fixed_db(n=12)
     kernel, C, lam, d_hat, trials, G, seed = rbf_kernel(1.0), 1.0, 0.1, 50, 20, 21, 3
+    box = unit_box()
     report = utility_audit(db, MechanismParams("rff", C, lam, kernel=kernel, d_hat=d_hat),
-                           eps, 0.5, trials, G, seed=seed)
-    eval_points = np.vstack([bounding_box(db).grid(G), db.points])
+                           eps, 0.5, trials, G, seed, box)
+    eval_points = np.vstack([box.grid(G), db.points])
     ref = decision_values(solve_svm_dual(db, kernel, C), eval_points)
     failures = sum(
         np.max(np.abs(train_private_rff(db, kernel, C, lam, d_hat, child_rng(seed, t))
@@ -203,12 +202,35 @@ def test_utility_audit_rff_matches_pointwise_evaluation(eps):
     assert report.passed == (failures / trials <= 0.5)
 
 
+def test_utility_audit_finite_sup_on_asymmetric_box(monkeypatch):
+    # mu = (1, -1) on [0, 1]^2: mu^T x ranges over [-1, 1], so the sup is 1,
+    # not the 2 that sum_j max(|mu_j lo_j|, |mu_j hi_j|) would give
+    monkeypatch.setattr(
+        mechanisms, "_draw_noise", lambda scale, count, rng: np.array([1.0, -1.0])
+    )
+    rng = np.random.default_rng(2)
+    db = Database(rng.uniform(0, 1, (10, 2)), np.array([1.0, -1.0] * 5))
+    box = DomainBox(np.zeros(2), np.ones(2))
+    params = MechanismParams("finite", 1.0, 0.1)
+    assert utility_audit(db, params, 1.0, 0.1, 4, None, 1, box).statistic == 0.0
+    report = utility_audit(db, params, 0.999, 0.1, 4, None, 1, box)
+    assert report.statistic == 1.0
+    assert report.details["eval_points"] == db.n
+    assert report.details["hinge_transfer_ok"]
+
+
+def test_utility_audit_rejects_box_of_other_dimension():
+    with pytest.raises(ValueError, match="dimension"):
+        utility_audit(fixed_db(), MechanismParams("finite", 1.0, 0.1), 0.5, 0.1, 5,
+                      None, 1, unit_box(3))
+
+
 def test_utility_audit_rejects_bad_eps():
     params = MechanismParams("finite", 1.0, 0.1)
     with pytest.raises(ValueError):
-        utility_audit(fixed_db(), params, math.inf, 0.1, 5, 11, seed=1)
+        utility_audit(fixed_db(), params, math.inf, 0.1, 5, None, 1, unit_box())
     with pytest.raises(ValueError):
-        utility_audit(fixed_db(), params, 0.5, 1.5, 5, 11, seed=1)
+        utility_audit(fixed_db(), params, 0.5, 1.5, 5, None, 1, unit_box())
 
 
 def test_kernel_approx_audit_vacuous_eps():
@@ -254,7 +276,7 @@ def test_kernel_approx_audit_matches_pointwise_evaluation(d, G, eps):
 def test_privacy_ratio_identical_databases_near_zero():
     db = fixed_db(n=10)
     params = MechanismParams("finite", 1.0, 0.4)
-    report = privacy_ratio_audit(db, db, params, 1.0, 20_000, 20, 0, seed=21)
+    report = privacy_ratio_audit(db, db, params, 1.0, 20_000, 20, 0, 21, unit_box())
     assert report.statistic <= 0.3
     assert report.passed
 
@@ -264,13 +286,13 @@ def test_privacy_ratio_on_separation_pair():
     d1, d2 = fam.databases
     lam = calibrate_noise_privacy_finite(1.0, 1.0, 0.8, 1, 1.0, 10)
     params = MechanismParams("finite", 1.0, lam)
-    report = privacy_ratio_audit(d1, d2, params, 1.0, 20_000, 40, 0, seed=17)
+    box = DomainBox(np.array([-0.8]), np.array([0.8]))  # the pair's points reach +-M = 0.8
+    report = privacy_ratio_audit(d1, d2, params, 1.0, 20_000, 40, 0, 17, box)
     assert report.passed
     assert report.details["smoke_test"]
     assert report.details["lambda_required_for_beta"] == pytest.approx(lam, rel=1e-12)
-    kappa = float(np.max(np.linalg.norm(np.vstack([d1.points, d2.points]), axis=1)))
     assert report.details["lambda_required_for_beta"] == calibrate_noise_privacy_finite(
-        1.0, 1.0, kappa, 1, 1.0, 10
+        1.0, 1.0, box.max_l2_norm(), 1, 1.0, 10
     )
 
 
@@ -281,7 +303,7 @@ def test_privacy_ratio_detects_undercalibrated_noise():
     d1, d2 = fam.databases
     lam = 0.32 / 2
     params = MechanismParams("finite", 1.0, lam)
-    report = privacy_ratio_audit(d1, d2, params, 0.05, 20_000, 40, 0, seed=19)
+    report = privacy_ratio_audit(d1, d2, params, 0.05, 20_000, 40, 0, 19, unit_box(1))
     assert report.statistic > 0.05
 
 
@@ -291,7 +313,7 @@ def test_privacy_ratio_rejects_non_neighbors():
     b = Database(rng.uniform(-1, 1, (5, 2)), rng.choice([-1.0, 1.0], 5))
     params = MechanismParams("finite", 1.0, 0.1)
     with pytest.raises(ValueError, match="neighbors"):
-        privacy_ratio_audit(a, b, params, 1.0, 100, 10, 0, seed=0)
+        privacy_ratio_audit(a, b, params, 1.0, 100, 10, 0, 0, unit_box())
 
 
 def test_default_grid_resolution():

@@ -1,20 +1,24 @@
 import hashlib
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from privsvm.cli import main
+from privsvm.cli import build_parser, main
 from privsvm.mechanisms import (
+    calibrate_noise_privacy_finite,
     calibrate_noise_privacy_rff,
     calibrate_noise_utility_rff,
     calibrate_rff_dim_hinge,
+    calibration_report_finite,
 )
 from privsvm.model_io import load_model, save_model
 from privsvm.mechanisms import PrivateModel
-from privsvm.data import Database, load_csv
+from privsvm.data import Database, DomainBox, load_csv
 from privsvm.kernels import linear_kernel, rbf_kernel
 from privsvm.noise import sample_laplace
 from privsvm.rff import RandomFeatureMap, feature_matrix
@@ -343,10 +347,12 @@ def test_private_train_requires_seed(capsys, data_file, tmp_path):
 
 
 def test_calibrate_rff_matches_library(capsys):
+    # the diameter comes from the box: [0, sqrt 2]^2 has diameter exactly 2
+    assert DomainBox(np.zeros(2), np.full(2, math.sqrt(2.0))).diameter() == 2.0
     code, out, _ = run(capsys, [
         "calibrate", "--mechanism", "rff", "--beta", "1", "--eps", "0.5",
         "--delta", "0.1", "--c", "1", "--n", "100", "--dim", "2",
-        "--sigma", "1", "--diam", "2",
+        "--sigma", "1", "--box-min", "0", "--box-max", repr(math.sqrt(2.0)),
     ])
     assert code == 0
     doc = json.loads(out)
@@ -361,13 +367,15 @@ def test_calibrate_rff_matches_library(capsys):
     assert doc["feasible"] == (doc["lambda_min_privacy"] <= doc["lambda_max_utility"])
 
 
-def test_calibrate_finite_needs_kappa_phi(capsys):
-    code, _, err = run(capsys, [
+def test_calibrate_finite_takes_constants_from_default_box(capsys):
+    code, out, _ = run(capsys, [
         "calibrate", "--mechanism", "finite", "--beta", "1", "--eps", "0.5",
         "--delta", "0.1", "--c", "1", "--n", "100", "--dim", "2",
     ])
-    assert code == 2
-    assert "kappa" in err
+    assert code == 0
+    # [-1, 1]^2: kappa = sqrt 2, Phi = 1, F = 2
+    report = calibration_report_finite(1.0, 0.5, 0.1, 1.0, 100, math.sqrt(2.0), 1.0, 2)
+    assert json.loads(out) == report.to_doc()
 
 
 def test_bounds_rbf(capsys):
@@ -510,7 +518,8 @@ def test_audit_default_grid_follows_gridded_dimension(capsys, tmp_path):
     labels = (1, -1, 1, -1)
     data.write_text("".join(f"{x},{y},{z},{l:+d}\n" for (x, y, z), l in zip(points, labels)))
     code, out, _ = run(capsys, [
-        "audit", "--name", "utility", "--seed", "4", "--trials", "3",
+        "audit", "--name", "utility", "--mechanism", "rff", "--sigma", "1.0",
+        "--d-hat", "20", "--seed", "4", "--trials", "3",
         "--data", str(data), "--lambda", "0.01", "--eps", "0.5", "--delta", "0.2",
     ])
     assert code == 0
@@ -526,6 +535,70 @@ def test_audit_default_grid_follows_gridded_dimension(capsys, tmp_path):
     code, out, err = run(capsys, [*approx, "--dim", "5"])
     assert code == 1 and out == ""
     assert "grid resolution" in err
+
+
+def test_audit_finite_utility_takes_exact_sup_in_any_dimension(capsys, tmp_path):
+    # no grid: the finite release's sup over the box is exact, so d > 4 is fine
+    points = np.random.default_rng(5).uniform(-1, 1, (6, 5))
+    data = tmp_path / "u5.csv"
+    data.write_text("".join(",".join(map(repr, x)) + f",{l:+d}\n"
+                            for x, l in zip(points.tolist(), (1, -1) * 3)))
+    code, out, _ = run(capsys, [
+        "audit", "--name", "utility", "--seed", "4", "--trials", "3",
+        "--data", str(data), "--lambda", "0.01", "--eps", "0.5", "--delta", "0.2",
+    ])
+    assert code == 0
+    details = json.loads(out)["audit"]["details"]
+    assert details["grid_resolution"] is None
+    assert details["eval_points"] == 6
+
+
+def test_audit_utility_takes_its_box_from_the_flags(capsys, tmp_path):
+    points = np.random.default_rng(6).uniform(-1, 1, (10, 2))
+    data = tmp_path / "u2.csv"
+    data.write_text("".join(f"{x!r},{y!r},{l:+d}\n"
+                            for (x, y), l in zip(points.tolist(), (1, -1) * 5)))
+    argv = ["audit", "--name", "utility", "--seed", "8", "--trials", "200",
+            "--data", str(data), "--lambda", "0.1", "--eps", "0.5", "--delta", "0.5"]
+    stats = []
+    for box in ([], ["--box-min", "-2", "--box-max", "2"]):
+        code, out, _ = run(capsys, [*argv, *box])
+        assert code == 0
+        stats.append(json.loads(out)["audit"]["statistic"])
+    # the sup of |mu^T x| over [-2, 2]^2 is twice that over [-1, 1]^2
+    assert stats[0] < stats[1]
+
+
+def test_audit_privacy_ratio_kappa_from_box(capsys, tmp_path):
+    rng = np.random.default_rng(7)
+    points = rng.uniform(-1, 1, (8, 2))
+    labels = [1, -1] * 4
+    rows = [f"{x!r},{y!r},{l:+d}\n" for (x, y), l in zip(points.tolist(), labels)]
+    (tmp_path / "p1.csv").write_text("".join(rows))
+    (tmp_path / "p2.csv").write_text("".join(rows[:-1]) + "0.5,0.5,+1\n")
+    code, out, _ = run(capsys, [
+        "audit", "--name", "privacy-ratio", "--seed", "3", "--trials", "2000",
+        "--bins", "10", "--data", str(tmp_path / "p1.csv"),
+        "--data2", str(tmp_path / "p2.csv"), "--c", "1.0", "--lambda", "1.0",
+        "--beta", "1.0", "--box-min", "-3", "--box-max", "2",
+    ])
+    assert code == 0
+    kappa = DomainBox(np.full(2, -3.0), np.full(2, 2.0)).max_l2_norm()
+    assert kappa == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-15)
+    assert json.loads(out)["audit"]["details"]["lambda_required_for_beta"] == (
+        calibrate_noise_privacy_finite(1.0, 1.0, kappa, 2, 1.0, 8))
+
+
+def test_readme_cli_lines_parse():
+    # every privsvm command in README's sh blocks is accepted by the parser
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.DOTALL)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("privsvm ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_audit_utility_rff_requires_d_hat(capsys, data_file):

@@ -9,8 +9,6 @@ from privsvm.data import (
     CsvError,
     Database,
     DomainBox,
-    Example,
-    bounding_box,
     load_csv,
     neighbor_replace_last,
     read_rows,
@@ -151,10 +149,12 @@ def test_csv_round_trip_bit_exact(tmp_path):
 
 
 def test_example_validation():
-    with pytest.raises(ValueError):
-        Example(np.array([1.0, np.nan]), 1)
-    with pytest.raises(ValueError):
-        Example(np.array([1.0]), 0)
+    # the replacement entry is validated by the Database it lands in
+    db = Database(np.zeros((2, 2)), np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        neighbor_replace_last(db, np.array([1.0, np.nan]), 1)
+    with pytest.raises(ValueError, match="labels"):
+        neighbor_replace_last(db, np.array([1.0, 0.0]), 0)
 
 
 def test_database_validation():
@@ -173,9 +173,9 @@ def test_database_is_immutable():
 
 
 def test_database_copies_arrays_it_could_not_keep_frozen():
-    # a writeable array, or a read-only view of one, could still change
-    # under the Database, so it is copied; a read-only array that owns its
-    # memory is kept as it is, so a feature matrix is held once
+    # every array is copied: a writeable one, a read-only view, and a
+    # read-only array that owns its memory, whose owner may make it
+    # writeable again
     labels = np.array([1.0, -1.0, 1.0])
     writeable = np.arange(6.0).reshape(3, 2)
     db = Database(writeable, labels)
@@ -191,12 +191,22 @@ def test_database_copies_arrays_it_could_not_keep_frozen():
     assert db.points[0, 0] == 0.0
     owned = np.arange(6.0).reshape(3, 2).copy()
     owned.setflags(write=False)
-    assert Database(owned, labels).points is owned
+    assert not np.shares_memory(Database(owned, labels).points, owned)
+
+
+def test_database_unchanged_when_owner_unfreezes_its_array():
+    a = np.ones((2, 2))
+    a.setflags(write=False)
+    db = Database(a, np.array([1.0, -1.0]))
+    a.setflags(write=True)
+    a[0, 0] = 5.0
+    assert db.points[0, 0] == 1.0
+    assert not db.points.flags.writeable
 
 
 def test_neighbor_replace_last():
     db = load_csv(io.StringIO(SAMPLE))
-    flipped = neighbor_replace_last(db, Example(np.array([0.5, 0.5]), -1))
+    flipped = neighbor_replace_last(db, np.array([0.5, 0.5]), -1)
     assert np.array_equal(flipped.points, db.points)
     assert np.array_equal(flipped.labels[:-1], db.labels[:-1])
     assert flipped.labels[-1] == -1.0
@@ -205,42 +215,23 @@ def test_neighbor_replace_last():
 
 def test_neighbor_identity_case():
     db = load_csv(io.StringIO(SAMPLE))
-    same = neighbor_replace_last(db, Example(db.points[-1], int(db.labels[-1])))
+    same = neighbor_replace_last(db, db.points[-1], db.labels[-1])
     assert same == db
 
 
 def test_neighbor_dimension_mismatch():
     db = load_csv(io.StringIO(SAMPLE))
     with pytest.raises(ValueError, match="dimension"):
-        neighbor_replace_last(db, Example(np.zeros(3), 1))
+        neighbor_replace_last(db, np.zeros(3), 1)
 
 
 def test_neighbor_shares_prefix_randomized():
     rng = np.random.default_rng(7)
     for _ in range(20):
         db = Database(rng.standard_normal((6, 2)), rng.choice([-1.0, 1.0], 6))
-        e = Example(rng.standard_normal(2), int(rng.choice([-1, 1])))
-        out = neighbor_replace_last(db, e)
+        out = neighbor_replace_last(db, rng.standard_normal(2), rng.choice([-1, 1]))
         assert np.array_equal(out.points[:-1], db.points[:-1])
         assert np.array_equal(out.labels[:-1], db.labels[:-1])
-
-
-def test_bounding_box_examples():
-    db = Database(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, -1.0]))
-    box = bounding_box(db)
-    assert np.array_equal(box.lower, [0.0, 0.0])
-    assert np.array_equal(box.upper, [1.0, 1.0])
-    assert box.diameter() == pytest.approx(np.sqrt(2.0), rel=1e-15)
-
-    degenerate = bounding_box(
-        Database(np.array([[2.0, 3.0], [2.0, 3.0]]), np.array([1.0, -1.0]))
-    )
-    assert degenerate.diameter() == 0.0
-
-    padded = bounding_box(db, margin=0.5)
-    assert np.array_equal(padded.lower, [-0.5, -0.5])
-    assert np.array_equal(padded.upper, [1.5, 1.5])
-    assert padded.diameter() == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-15)
 
 
 def test_domain_box_helpers():
