@@ -12,7 +12,6 @@ density-ratio behaviour.
 from .audit import (
     AuditReport,
     LowerBoundFamily,
-    MechanismParams,
     child_rng,
     default_grid_resolution,
     kernel_approx_audit,

@@ -7,6 +7,10 @@ audits of proved guarantees must pass (up to documented Monte-Carlo slack);
 a failure indicates an implementation defect. The privacy-ratio audit is the
 one exception: finite samples cannot certify a density-ratio bound, so it is
 a smoke test with an explicit heuristic slack, never a proof.
+
+An audit of a release names its mechanism by the kernel, as a release names
+its feature map: `linear_kernel()` is the finite mechanism (phi(x) = x) and a
+translation-invariant kernel the random-feature one.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .kernels import (
     spectral_second_moment,
 )
 from .mechanisms import (
-    PrivateModel,
     calibrate_noise_privacy_finite,
     rbf_packing_size,
     sensitivity_finite,
@@ -41,7 +44,6 @@ __all__ = [
     "child_rng",
     "AuditReport",
     "LowerBoundFamily",
-    "MechanismParams",
     "linear_separation_pair",
     "rbf_packing_family",
     "default_grid_resolution",
@@ -107,26 +109,8 @@ class LowerBoundFamily:
 
     databases: tuple
     expected_separation: float
-    construction: str
     params: dict = field(default_factory=dict)
     expected_weights: tuple | None = None
-
-
-@dataclass(frozen=True)
-class MechanismParams:
-    """Which private mechanism an audit should exercise, and with what knobs."""
-
-    mechanism: str  # "finite" or "rff"
-    C: float
-    lam: float
-    kernel: KernelSpec | None = None
-    d_hat: int | None = None
-
-    def __post_init__(self):
-        if self.mechanism not in ("finite", "rff"):
-            raise ValueError("mechanism must be 'finite' or 'rff'")
-        if self.mechanism == "rff" and (self.kernel is None or self.d_hat is None):
-            raise ValueError("rff mechanism needs a kernel and d_hat")
 
 
 def linear_separation_pair(C: float, n: int, eps: float) -> LowerBoundFamily:
@@ -138,8 +122,7 @@ def linear_separation_pair(C: float, n: int, eps: float) -> LowerBoundFamily:
     label of the last point, placed at M - m with m = n eps / C. Closed-form
     optimal weights are attached for regression checks.
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
+    _mechanisms._require_positive(C=C)
     if n <= 1:
         raise ValueError("n must exceed 1")
     eps_cap = math.sqrt(C) / (2 * n)
@@ -162,7 +145,6 @@ def linear_separation_pair(C: float, n: int, eps: float) -> LowerBoundFamily:
     return LowerBoundFamily(
         databases=(Database(xs, labels1), Database(xs, labels2)),
         expected_separation=2.0 * eps,
-        construction="linear-pair",
         params={
             "C": C,
             "n": n,
@@ -185,8 +167,7 @@ def rbf_packing_family(C: float, n: int, sigma: float) -> LowerBoundFamily:
     sigma < sqrt(1/(2 ln 2)) so that the last dual coefficient is pinned at
     C/n and adjacent classifiers stay C/(2n) apart.
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
+    _mechanisms._require_positive(C=C)
     if n <= C:
         raise ValueError("n must exceed C")
     if n <= 1:
@@ -203,14 +184,7 @@ def rbf_packing_family(C: float, n: int, sigma: float) -> LowerBoundFamily:
     return LowerBoundFamily(
         databases=tuple(databases),
         expected_separation=C / (2.0 * n),
-        construction="rbf-packing",
-        params={
-            "C": C,
-            "n": n,
-            "sigma": sigma,
-            "N": N,
-            "gamma": math.exp(-1.0 / (2.0 * sigma**2)),
-        },
+        params={"C": C, "n": n, "sigma": sigma, "N": N},
     )
 
 
@@ -277,23 +251,28 @@ def _require_box(box: DomainBox, dim: int):
 
 def utility_audit(
     db: Database,
-    params: MechanismParams,
+    kernel: KernelSpec,
+    C: float,
+    lam: float,
     eps: float,
     delta: float,
     trials: int,
     grid_resolution: int | None,
     seed: int,
     box: DomainBox,
+    d_hat: int | None = None,
 ) -> AuditReport:
     """Estimate how often the private classifier strays more than eps from its
     non-private reference in sup-norm over the declared box.
 
-    The reference is the exact SVM on the same feature map (finite mechanism)
-    or on the exact kernel (rff mechanism). For the finite mechanism a trial
-    adds the mechanism's noise draws mu to the reference weights; released
-    minus reference is mu^T x, linear in x, so its sup over the box is
-    attained at a corner and taken exactly, as
-    max(sum_j max(mu_j lo_j, mu_j hi_j), -sum_j min(mu_j lo_j, mu_j hi_j)),
+    The kernel names the mechanism, as a release's feature map does:
+    `linear_kernel()` without `d_hat` audits the finite mechanism, a
+    translation-invariant kernel with `d_hat` features the rff mechanism, and
+    any other combination is a ValueError. The reference is the exact SVM on
+    that kernel. For the finite mechanism a trial adds the mechanism's noise
+    draws mu to the reference weights; released minus reference is mu^T x,
+    linear in x, so its sup over the box is attained at a corner and taken
+    exactly, as max(sum_j max(mu_j lo_j, mu_j hi_j), -sum_j min(mu_j lo_j, mu_j hi_j)),
     and `grid_resolution` is unused. For the rff mechanism a trial is a
     `train_private_rff` run, evaluated by `grid_values` on a regular grid
     over the box with `grid_resolution` points per axis. Either sup is taken
@@ -302,8 +281,11 @@ def utility_audit(
     1-Lipschitz) is exact. Passing means the failure fraction is at most
     delta.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("eps must be finite and positive")
+    # every KernelSpec but the linear one is translation-invariant
+    if not isinstance(kernel, KernelSpec) or kernel.translation_invariant() != (d_hat is not None):
+        raise ValueError("utility_audit takes linear_kernel() without d_hat (finite mechanism)"
+                         " or a translation-invariant kernel with d_hat (rff mechanism)")
+    _mechanisms._require_positive(eps=eps)
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     if trials < 1:
@@ -313,30 +295,30 @@ def utility_audit(
 
     # released(rng) gives one trial's sup gap over the box and its values at
     # the training points.
-    if params.mechanism == "finite":
+    if d_hat is None:
+        mechanism = "finite"
         grid_resolution = None  # unused: the sup over the box is exact
         eval_count = db.n
-        w_ref = primal_weights(solve_svm_dual(db, linear_kernel(), params.C))
+        w_ref = primal_weights(solve_svm_dual(db, kernel, C))
         ref_train = db.points @ w_ref
 
         def released(rng):
-            mu = _mechanisms._draw_noise(params.lam, db.dim, rng)
-            model = PrivateModel(w_ref + mu, linear_kernel(), params.C, params.lam,
-                                 n=db.n, dim=db.dim)
-            vals = model.decision_values(db.points)
+            mu = _mechanisms._draw_noise(lam, db.dim, rng)
+            vals = db.points @ (w_ref + mu)
             lo, hi = mu * box.lower, mu * box.upper
             box_sup = max(np.maximum(lo, hi).sum(), -np.minimum(lo, hi).sum())
             return max(float(box_sup), float(np.max(np.abs(vals - ref_train)))), vals
     else:
+        mechanism = "rff"
         eval_points = np.vstack([box.grid(grid_resolution), db.points])
         eval_count = eval_points.shape[0]
-        ref_vals = decision_values(solve_svm_dual(db, params.kernel, params.C), eval_points)
+        ref_vals = decision_values(solve_svm_dual(db, kernel, C), eval_points)
         ref_train = ref_vals[-db.n:]
 
         def released(rng):
-            model = train_private_rff(db, params.kernel, params.C, params.lam, params.d_hat, rng)
+            model = train_private_rff(db, kernel, C, lam, d_hat, rng)
             w = model.weights
-            coeffs = (w[0::2] - 1j * w[1::2]) / math.sqrt(params.d_hat)
+            coeffs = (w[0::2] - 1j * w[1::2]) / math.sqrt(d_hat)
             vals = np.concatenate([
                 grid_values(model.feature_map, coeffs, box, grid_resolution),
                 model.decision_values(db.points),
@@ -361,8 +343,8 @@ def utility_audit(
         passed=statistic <= delta,
         seed=seed,
         details={
-            "mechanism": params.mechanism,
-            "lambda": params.lam,
+            "mechanism": mechanism,
+            "lambda": lam,
             "eps": eps,
             "grid_resolution": grid_resolution,
             "eval_points": eval_count,
@@ -393,8 +375,7 @@ def kernel_approx_audit(
     """
     if not kernel.translation_invariant():
         raise UnsupportedKernelError("kernel approximation requires a translation-invariant kernel")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _mechanisms._require_positive(eps=eps)
     if trials < 1:
         raise ValueError("trials must be positive")
     d = box.dim
@@ -446,7 +427,8 @@ def _require_neighbors(db1: Database, db2: Database):
 def privacy_ratio_audit(
     db1: Database,
     db2: Database,
-    params: MechanismParams,
+    C: float,
+    lam: float,
     beta: float,
     trials: int,
     bins: int,
@@ -456,33 +438,29 @@ def privacy_ratio_audit(
 ) -> AuditReport:
     """Finite-sample smoke test of the released coordinate's density ratio.
 
-    Histograms one coordinate of the released weights over `trials` runs per
-    database on shared bin edges and reports the largest |log count ratio|
-    over bins holding at least 20 samples from each side. Passing means the
-    statistic stays within beta plus the heuristic slack
-    3 sqrt(2 / min bin count). This can expose a broken mechanism; it cannot
-    certify privacy. `lambda_required_for_beta` takes kappa from the declared
-    box, never from the data.
+    The mechanism is the finite one, the linear kernel trained with C and
+    released with Laplace(0, lam) noise. Histograms one coordinate of the
+    released weights over `trials` runs per database on shared bin edges and
+    reports the largest |log count ratio| over bins holding at least 20
+    samples from each side. Passing means the statistic stays within beta
+    plus the heuristic slack 3 sqrt(2 / min bin count). This can expose a
+    broken mechanism; it cannot certify privacy. `lambda_required_for_beta`
+    takes kappa from the declared box, never from the data.
     """
     _require_neighbors(db1, db2)
     _require_box(box, db1.dim)
-    if params.mechanism != "finite":
-        raise ValueError("privacy ratio audit supports the finite mechanism only")
     if trials < 1 or bins < 2:
         raise ValueError("trials and bins must be positive (bins >= 2)")
     if not 0 <= coordinate_index < db1.dim:
         raise ValueError("coordinate_index out of range")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _mechanisms._require_positive(beta=beta)
 
     d = db1.dim
     samples = []
     for which, db in enumerate((db1, db2)):
-        w = primal_weights(solve_svm_dual(db, linear_kernel(), params.C))
+        w = primal_weights(solve_svm_dual(db, linear_kernel(), C))
         # solver output is deterministic; only the noise varies across trials
-        noise = _mechanisms._draw_noise(
-            params.lam, trials * d, child_rng(seed, which)
-        ).reshape(trials, d)
+        noise = _mechanisms._draw_noise(lam, trials * d, child_rng(seed, which)).reshape(trials, d)
         samples.append(w[coordinate_index] + noise[:, coordinate_index])
 
     lo = min(samples[0].min(), samples[1].min())
@@ -493,9 +471,9 @@ def privacy_ratio_audit(
     qualifying = (counts1 >= 20) & (counts2 >= 20)
 
     details = {
-        "lambda": params.lam,
+        "lambda": lam,
         "lambda_required_for_beta": calibrate_noise_privacy_finite(
-            1.0, params.C, box.max_l2_norm(), d, beta, db1.n
+            1.0, C, box.max_l2_norm(), d, beta, db1.n
         ),
         "beta": beta,
         "bins": bins,

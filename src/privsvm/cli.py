@@ -26,7 +26,7 @@ import numpy as np
 from . import audit as audit_mod
 from . import mechanisms, model_io
 from .data import DomainBox, load_csv, read_rows, split_labels
-from .kernels import KernelSpec, spectral_second_moment
+from .kernels import KernelSpec, linear_kernel, spectral_second_moment
 from .solver import SvmModel, decision_values, solve_svm_dual
 
 _KERNEL_CHOICES = ("linear", "rbf", "laplacian", "cauchy")
@@ -47,14 +47,8 @@ def _kernel_from_args(args) -> KernelSpec:
 
 
 def _claimed_from_args(args) -> dict:
-    claimed = {}
-    if getattr(args, "beta", None) is not None:
-        claimed["beta"] = args.beta
-    if getattr(args, "eps", None) is not None:
-        claimed["epsilon"] = args.eps
-    if getattr(args, "delta", None) is not None:
-        claimed["delta"] = args.delta
-    return claimed
+    given = {"beta": args.beta, "epsilon": args.eps, "delta": args.delta}
+    return {key: value for key, value in given.items() if value is not None}
 
 
 def _box_from_args(args, dim: int) -> DomainBox:
@@ -160,18 +154,15 @@ def _cmd_audit(args) -> int:
         report = audit_mod.sensitivity_audit(args.trials, args.n, args.c, box, args.seed)
     elif name == "utility":
         db = load_csv(args.data, has_header=args.header)
+        # --kernel defaults to rbf, so the finite mechanism must not read it
         if args.mechanism == "rff":
-            kernel = _kernel_from_args(args)
-            params = audit_mod.MechanismParams(
-                "rff", args.c, args.lam, kernel=kernel, d_hat=args.d_hat
-            )
+            kernel, d_hat = _kernel_from_args(args), args.d_hat
             grid = _grid_from_args(args, db.dim)
         else:
-            params = audit_mod.MechanismParams("finite", args.c, args.lam)
-            grid = None
+            kernel, d_hat, grid = linear_kernel(), None, None
         report = audit_mod.utility_audit(
-            db, params, args.eps, args.delta, args.trials, grid, args.seed,
-            _box_from_args(args, db.dim),
+            db, kernel, args.c, args.lam, args.eps, args.delta, args.trials, grid,
+            args.seed, _box_from_args(args, db.dim), d_hat=d_hat,
         )
     elif name == "kernel-approx":
         kernel = _kernel_from_args(args)
@@ -183,10 +174,9 @@ def _cmd_audit(args) -> int:
     elif name == "privacy-ratio":
         db1 = load_csv(args.data, has_header=args.header)
         db2 = load_csv(args.data2, has_header=args.header)
-        params = audit_mod.MechanismParams("finite", args.c, args.lam)
         report = audit_mod.privacy_ratio_audit(
-            db1, db2, params, args.beta, args.trials, args.bins, args.coord, args.seed,
-            _box_from_args(args, db1.dim),
+            db1, db2, args.c, args.lam, args.beta, args.trials, args.bins, args.coord,
+            args.seed, _box_from_args(args, db1.dim),
         )
     else:  # separation
         report = audit_mod.packing_separation_audit(args.c, args.n, args.sigma)
@@ -207,6 +197,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma", type=float, default=None,
                        help="rbf bandwidth (rbf kernel only)")
 
+    def add_release_flags(p):
+        p.add_argument("--data", required=True)
+        p.add_argument("--c", type=float, required=True)
+        p.add_argument("--lambda", dest="lam", type=float, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--header", action="store_true")
+        p.add_argument("--beta", type=float, default=None, help="claimed privacy level")
+        p.add_argument("--eps", type=float, default=None, help="claimed accuracy")
+        p.add_argument("--delta", type=float, default=None)
+
     p = sub.add_parser("train", help="train a non-private SVM")
     p.add_argument("--data", required=True)
     add_kernel_flags(p)
@@ -219,30 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("private-train-finite",
                        help="train and release noisy linear weights")
-    p.add_argument("--data", required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--header", action="store_true")
-    p.add_argument("--beta", type=float, default=None, help="claimed privacy level")
-    p.add_argument("--eps", type=float, default=None, help="claimed accuracy")
-    p.add_argument("--delta", type=float, default=None)
+    add_release_flags(p)
     p.set_defaults(func=_cmd_private_train_finite)
 
     p = sub.add_parser("private-train-rff",
                        help="train in a random feature space and release noisy weights")
-    p.add_argument("--data", required=True)
+    add_release_flags(p)
     add_kernel_flags(p)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--d-hat", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--header", action="store_true")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
     p.set_defaults(func=_cmd_private_train_rff)
 
     p = sub.add_parser("calibrate", help="compute the noise window for a target")

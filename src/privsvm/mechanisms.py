@@ -65,7 +65,9 @@ class PrivateModel:
     """Released artifact: noisy weights plus the data-independent description.
 
     `feature_map` is the finite map the weights live on: `linear_kernel()`
-    (phi(x) = x, dim weights) or a RandomFeatureMap (2*d_hat weights).
+    (phi(x) = x, dim weights) or a RandomFeatureMap (2*d_hat weights). `n`,
+    at least 2, is the training set's size and `dim`, at least 1, its
+    points' dimension.
     `claimed` records the guarantee metadata (beta or eps/delta plus
     calibration inputs) asserted by the caller. The training coefficients and
     examples are deliberately absent.
@@ -75,17 +77,19 @@ class PrivateModel:
     feature_map: KernelSpec | RandomFeatureMap
     C: float
     lam: float
+    n: int
+    dim: int
     claimed: dict = field(default_factory=dict)
-    n: int = 0
-    dim: int = 0
     seed: int | None = None
 
     def __post_init__(self):
         weights = np.array(self.weights, dtype=np.float64)
         weights.setflags(write=False)
-        for name, value in (("C", self.C), ("lam", self.lam)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
+        _require_positive(C=self.C, lam=self.lam)
+        if not self.n >= 2:
+            raise ValueError("n must be at least 2: a database has more than one entry")
+        if not self.dim >= 1:
+            raise ValueError("dim must be at least 1")
         if isinstance(self.feature_map, RandomFeatureMap):
             if self.feature_map.dim != self.dim:
                 raise ValueError(
@@ -129,8 +133,7 @@ def features(fmap, X: np.ndarray) -> np.ndarray:
 def _release(db, fmap, C, lam, rng, claimed, seed) -> PrivateModel:
     # Train the linear SVM on the map's feature matrix, then add one
     # Laplace(0, lam) draw per weight.
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError("lam must be finite and positive")
+    _require_positive(lam=lam)
     phi = Database(features(fmap, db.points), db.labels)
     w = primal_weights(solve_svm_dual(phi, linear_kernel(), C))
     return PrivateModel(
@@ -138,9 +141,9 @@ def _release(db, fmap, C, lam, rng, claimed, seed) -> PrivateModel:
         feature_map=fmap,
         C=float(C),
         lam=float(lam),
-        claimed=dict(claimed or {}),
         n=db.n,
         dim=db.dim,
+        claimed=dict(claimed or {}),
         seed=seed,
     )
 
@@ -175,8 +178,8 @@ def train_private_rff(
 
 def _require_positive(**values):
     for name, v in values.items():
-        if v <= 0:
-            raise ValueError(f"{name} must be positive")
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive")
 
 
 def sensitivity_finite(L: float, C: float, kappa: float, F: int, n: int) -> float:

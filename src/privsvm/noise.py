@@ -22,8 +22,8 @@ def sample_laplace(scale: float, count: int, rng) -> np.ndarray:
     redrawn from the same generator, in index order. Every other draw, and
     the stream consumed when no redraw is needed, are unchanged.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError("scale must be finite and positive")
     if count < 1:
         raise ValueError("count must be positive")
     u = rng.random(count) - 0.5
@@ -42,9 +42,9 @@ def erlang_tail_probability(q: int, scale: float, threshold: float) -> float:
     """
     if q < 1 or int(q) != q:
         raise ValueError("q must be a positive integer")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if threshold < 0:
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError("scale must be finite and positive")
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     x = threshold / scale
     if x == 0.0:

@@ -163,14 +163,14 @@ def calibrate_rff_dim(eps: float, delta: float, d: int, sigma_p: float, diam: fl
     is the spectral second moment and diam the diameter of the domain. Fails
     for kernels whose spectral second moment diverges.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     if d < 1:
         raise ValueError("d must be positive")
-    if diam <= 0:
-        raise ValueError("diam must be positive")
+    if not (math.isfinite(diam) and diam > 0):
+        raise ValueError("diam must be finite and positive")
     if not math.isfinite(sigma_p) or sigma_p <= 0:
         raise CalibrationError(
             "spectral second moment is not finite; choose d_hat manually"

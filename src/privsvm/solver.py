@@ -202,7 +202,7 @@ def solve_svm_dual(
                          " solve linear_kernel() on feature_matrix(map, X)")
     if not (math.isfinite(C) and C > 0):
         raise ValueError("C must be finite and positive")
-    if tol <= 0 or max_sweeps < 1:
+    if not tol > 0 or max_sweeps < 1:
         raise ValueError("tol and max_sweeps must be positive")
     n = db.n
     y = db.labels

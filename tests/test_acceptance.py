@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from privsvm.audit import (
-    MechanismParams,
     kernel_approx_audit,
     linear_separation_pair,
     packing_separation_audit,
@@ -112,11 +111,10 @@ def test_finite_mechanism_utility_monte_carlo():
     labels = np.where(points[:, 0] + points[:, 1] > 0.0, 1.0, -1.0)
     db = Database(points, labels)
     lam = calibrate_noise_utility_finite(0.5, 0.1, 1.0, 2)
-    params = MechanismParams("finite", 1.0, lam)
     box = DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     report = utility_audit(
-        db, params, eps=0.5, delta=0.1, trials=500, grid_resolution=None,
-        seed=606, box=box,
+        db, linear_kernel(), C=1.0, lam=lam, eps=0.5, delta=0.1, trials=500,
+        grid_resolution=None, seed=606, box=box,
     )
     assert report.statistic <= 0.1
     assert report.details["hinge_transfer_ok"]
@@ -203,9 +201,8 @@ def test_privacy_ratio_smoke_test():
     d1, d2 = fam.databases
     beta = 1.0
     lam = calibrate_noise_privacy_finite(1.0, 1.0, 0.8, 1, beta, 10)
-    params = MechanismParams("finite", 1.0, lam)
     report = privacy_ratio_audit(
-        d1, d2, params, beta, trials=10**5, bins=40, coordinate_index=0, seed=313,
+        d1, d2, C=1.0, lam=lam, beta=beta, trials=10**5, bins=40, coordinate_index=0, seed=313,
         box=DomainBox(np.array([-0.8]), np.array([0.8])),  # the pair reaches +-0.8
     )
     assert report.passed

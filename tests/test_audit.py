@@ -5,7 +5,6 @@ import pytest
 
 import privsvm.mechanisms as mechanisms
 from privsvm.audit import (
-    MechanismParams,
     child_rng,
     default_grid_resolution,
     kernel_approx_audit,
@@ -154,8 +153,8 @@ def test_utility_audit_zero_noise_statistic_is_zero(monkeypatch):
     monkeypatch.setattr(
         mechanisms, "_draw_noise", lambda scale, count, rng: np.zeros(count)
     )
-    params = MechanismParams("finite", 1.0, 0.05)
-    report = utility_audit(fixed_db(), params, 0.5, 0.1, 20, None, 1, unit_box())
+    report = utility_audit(fixed_db(), linear_kernel(), 1.0, 0.05, 0.5, 0.1, 20, None, 1,
+                           unit_box())
     assert report.statistic == 0.0
     assert report.details["hinge_transfer_ok"]
 
@@ -165,16 +164,15 @@ def test_utility_audit_finite_at_calibrated_noise():
 
     db = fixed_db()
     lam = calibrate_noise_utility_finite(0.5, 0.1, 1.0, 2)
-    params = MechanismParams("finite", 1.0, lam)
-    report = utility_audit(db, params, 0.5, 0.1, 100, None, 9, unit_box())
+    report = utility_audit(db, linear_kernel(), 1.0, lam, 0.5, 0.1, 100, None, 9, unit_box())
     assert report.passed
     assert report.details["hinge_transfer_ok"]
 
 
 def test_utility_audit_rff_mechanism_runs():
     db = fixed_db(n=12)
-    params = MechanismParams("rff", 1.0, 1e-4, kernel=rbf_kernel(1.0), d_hat=400)
-    report = utility_audit(db, params, 0.75, 0.5, 10, 11, 3, unit_box())
+    report = utility_audit(db, rbf_kernel(1.0), 1.0, 1e-4, 0.75, 0.5, 10, 11, 3, unit_box(),
+                           d_hat=400)
     # tiny noise and a roomy eps: the feature-space model should track the
     # exact-kernel model in most draws
     assert report.statistic <= 0.5
@@ -188,8 +186,7 @@ def test_utility_audit_rff_matches_pointwise_evaluation(eps):
     db = fixed_db(n=12)
     kernel, C, lam, d_hat, trials, G, seed = rbf_kernel(1.0), 1.0, 0.1, 50, 20, 21, 3
     box = unit_box()
-    report = utility_audit(db, MechanismParams("rff", C, lam, kernel=kernel, d_hat=d_hat),
-                           eps, 0.5, trials, G, seed, box)
+    report = utility_audit(db, kernel, C, lam, eps, 0.5, trials, G, seed, box, d_hat=d_hat)
     eval_points = np.vstack([box.grid(G), db.points])
     ref = decision_values(solve_svm_dual(db, kernel, C), eval_points)
     failures = sum(
@@ -211,9 +208,8 @@ def test_utility_audit_finite_sup_on_asymmetric_box(monkeypatch):
     rng = np.random.default_rng(2)
     db = Database(rng.uniform(0, 1, (10, 2)), np.array([1.0, -1.0] * 5))
     box = DomainBox(np.zeros(2), np.ones(2))
-    params = MechanismParams("finite", 1.0, 0.1)
-    assert utility_audit(db, params, 1.0, 0.1, 4, None, 1, box).statistic == 0.0
-    report = utility_audit(db, params, 0.999, 0.1, 4, None, 1, box)
+    assert utility_audit(db, linear_kernel(), 1.0, 0.1, 1.0, 0.1, 4, None, 1, box).statistic == 0.0
+    report = utility_audit(db, linear_kernel(), 1.0, 0.1, 0.999, 0.1, 4, None, 1, box)
     assert report.statistic == 1.0
     assert report.details["eval_points"] == db.n
     assert report.details["hinge_transfer_ok"]
@@ -221,16 +217,14 @@ def test_utility_audit_finite_sup_on_asymmetric_box(monkeypatch):
 
 def test_utility_audit_rejects_box_of_other_dimension():
     with pytest.raises(ValueError, match="dimension"):
-        utility_audit(fixed_db(), MechanismParams("finite", 1.0, 0.1), 0.5, 0.1, 5,
-                      None, 1, unit_box(3))
+        utility_audit(fixed_db(), linear_kernel(), 1.0, 0.1, 0.5, 0.1, 5, None, 1, unit_box(3))
 
 
 def test_utility_audit_rejects_bad_eps():
-    params = MechanismParams("finite", 1.0, 0.1)
     with pytest.raises(ValueError):
-        utility_audit(fixed_db(), params, math.inf, 0.1, 5, None, 1, unit_box())
+        utility_audit(fixed_db(), linear_kernel(), 1.0, 0.1, math.inf, 0.1, 5, None, 1, unit_box())
     with pytest.raises(ValueError):
-        utility_audit(fixed_db(), params, 0.5, 1.5, 5, None, 1, unit_box())
+        utility_audit(fixed_db(), linear_kernel(), 1.0, 0.1, 0.5, 1.5, 5, None, 1, unit_box())
 
 
 def test_kernel_approx_audit_vacuous_eps():
@@ -275,8 +269,7 @@ def test_kernel_approx_audit_matches_pointwise_evaluation(d, G, eps):
 
 def test_privacy_ratio_identical_databases_near_zero():
     db = fixed_db(n=10)
-    params = MechanismParams("finite", 1.0, 0.4)
-    report = privacy_ratio_audit(db, db, params, 1.0, 20_000, 20, 0, 21, unit_box())
+    report = privacy_ratio_audit(db, db, 1.0, 0.4, 1.0, 20_000, 20, 0, 21, unit_box())
     assert report.statistic <= 0.3
     assert report.passed
 
@@ -285,9 +278,8 @@ def test_privacy_ratio_on_separation_pair():
     fam = linear_separation_pair(1.0, 10, 0.04)
     d1, d2 = fam.databases
     lam = calibrate_noise_privacy_finite(1.0, 1.0, 0.8, 1, 1.0, 10)
-    params = MechanismParams("finite", 1.0, lam)
     box = DomainBox(np.array([-0.8]), np.array([0.8]))  # the pair's points reach +-M = 0.8
-    report = privacy_ratio_audit(d1, d2, params, 1.0, 20_000, 40, 0, 17, box)
+    report = privacy_ratio_audit(d1, d2, 1.0, lam, 1.0, 20_000, 40, 0, 17, box)
     assert report.passed
     assert report.details["smoke_test"]
     assert report.details["lambda_required_for_beta"] == pytest.approx(lam, rel=1e-12)
@@ -302,8 +294,7 @@ def test_privacy_ratio_detects_undercalibrated_noise():
     fam = linear_separation_pair(1.0, 10, 0.04)
     d1, d2 = fam.databases
     lam = 0.32 / 2
-    params = MechanismParams("finite", 1.0, lam)
-    report = privacy_ratio_audit(d1, d2, params, 0.05, 20_000, 40, 0, 19, unit_box(1))
+    report = privacy_ratio_audit(d1, d2, 1.0, lam, 0.05, 20_000, 40, 0, 19, unit_box(1))
     assert report.statistic > 0.05
 
 
@@ -311,9 +302,8 @@ def test_privacy_ratio_rejects_non_neighbors():
     rng = np.random.default_rng(1)
     a = Database(rng.uniform(-1, 1, (5, 2)), rng.choice([-1.0, 1.0], 5))
     b = Database(rng.uniform(-1, 1, (5, 2)), rng.choice([-1.0, 1.0], 5))
-    params = MechanismParams("finite", 1.0, 0.1)
     with pytest.raises(ValueError, match="neighbors"):
-        privacy_ratio_audit(a, b, params, 1.0, 100, 10, 0, 0, unit_box())
+        privacy_ratio_audit(a, b, 1.0, 0.1, 1.0, 100, 10, 0, 0, unit_box())
 
 
 def test_default_grid_resolution():
@@ -325,8 +315,12 @@ def test_default_grid_resolution():
         default_grid_resolution(5)
 
 
-def test_mechanism_params_validation():
-    with pytest.raises(ValueError):
-        MechanismParams("other", 1.0, 0.1)
-    with pytest.raises(ValueError):
-        MechanismParams("rff", 1.0, 0.1)  # missing kernel and d_hat
+def test_utility_audit_kernel_names_the_mechanism():
+    # linear_kernel() is the finite mechanism, which takes no d_hat; a
+    # translation-invariant kernel is the rff one, which needs it
+    db = fixed_db(n=6)
+    fmap = RandomFeatureMap.from_rng(rbf_kernel(1.0), 2, 4, np.random.default_rng(1))
+    for kernel, d_hat in [(linear_kernel(), 4), (rbf_kernel(1.0), None), (fmap, 4),
+                          (fmap, None)]:
+        with pytest.raises(ValueError, match="d_hat"):
+            utility_audit(db, kernel, 1.0, 0.1, 0.5, 0.1, 2, 5, 1, unit_box(), d_hat=d_hat)

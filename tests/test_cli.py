@@ -119,6 +119,24 @@ def test_non_finite_c_or_lambda_is_an_error_line(capsys, data_file, tmp_path, ar
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["calibrate", "--mechanism", "finite", "--beta", "1", "--eps", "0.5", "--delta", "0.1",
+      "--c", "nan", "--n", "100", "--dim", "2"], "C"),
+    (["train", "--kernel", "linear", "--c", "1.0", "--tol", "nan", "--out", "OUT",
+      "--data", "DATA"], "tol"),
+], ids=["calibrate-c-nan", "train-tol-nan"])
+def test_nan_parameter_is_an_error_line(capsys, data_file, tmp_path, argv, name):
+    # NaN passes a check written as x <= 0: calibrate printed "nan" and
+    # exited 0, and train swept until its sweep limit
+    out_path = tmp_path / "m.json"
+    argv = [{"OUT": str(out_path), "DATA": data_file}.get(a, a) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {name}") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 def test_predict_two_point_model(capsys, data_file, tmp_path):
     model_path = str(tmp_path / "model.json")
     assert main(["train", "--data", data_file, "--kernel", "linear",
@@ -153,9 +171,11 @@ SVM = {"format_version": 1, "mechanism": "svm", "kernel": {"family": "linear"}, 
     ({**SVM, "alphas": [0.25]}, "alphas"),
     ({**SVM, "C": "inf"}, "C must be finite and positive"),
     ({**FINITE, "lambda": "nan"}, "lam must be finite and positive"),
+    ({**FINITE, "n": -5}, "n must be at least 2"),
+    ({**FINITE, "dim": 0, "weights": []}, "dim must be at least 1"),
 ], ids=["no-kernel", "no-weights", "kernel-no-family", "n-null", "C-null", "claimed-list",
         "entries-1d", "seed-string", "sigma-string", "alphas-short", "svm-C-inf",
-        "lambda-nan"])
+        "lambda-nan", "n-negative", "dim-zero"])
 def test_predict_model_missing_field_is_an_error_line(capsys, data_file, tmp_path, doc, field):
     model = tmp_path / "bad.json"
     model.write_text(json.dumps(doc))

@@ -172,6 +172,15 @@ def test_private_model_validation():
         PrivateModel(np.zeros(2), rbf_kernel(1.0), 1.0, 0.1, n=2, dim=2)
 
 
+def test_private_model_requires_n_and_dim():
+    with pytest.raises(TypeError):
+        PrivateModel(np.zeros(0), linear_kernel(), 1.0, 0.1)
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        PrivateModel(np.zeros(2), linear_kernel(), 1.0, 0.1, n=1, dim=2)
+    with pytest.raises(ValueError, match="dim must be at least 1"):
+        PrivateModel(np.zeros(0), linear_kernel(), 1.0, 0.1, n=2, dim=0)
+
+
 def test_private_model_rejects_map_of_another_dimension():
     fmap = RandomFeatureMap.from_rng(rbf_kernel(1.0), 3, 3, np.random.default_rng(1))
     with pytest.raises(ValueError, match="dim"):

@@ -1,6 +1,9 @@
 import importlib
+import importlib.util
+import math
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 import privsvm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+LAYERS = Path(__file__).resolve().parents[1] / "privbench" / "layers.py"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(privsvm.__path__))
 
 
@@ -33,3 +37,51 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme"})
     out = capsys.readouterr().out
     assert out.startswith("[") and out.count("\n") == 1
+
+
+def _two_points():
+    return privsvm.Database(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, -1.0]))
+
+
+def _unit_box(d):
+    return privsvm.DomainBox(np.full(d, -1.0), np.full(d, 1.0))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: privsvm.sensitivity_finite(1.0, math.nan, 1.0, 2, 10), "C"),
+    (lambda: privsvm.calibrate_noise_privacy_finite(1.0, 1.0, 1.0, 2, math.nan, 10), "beta"),
+    (lambda: privsvm.solve_svm_dual(_two_points(), privsvm.linear_kernel(), 1.0,
+                                    tol=math.nan, max_sweeps=20000), "tol"),
+    (lambda: privsvm.sample_laplace(math.nan, 3, np.random.default_rng(0)), "scale"),
+    (lambda: privsvm.erlang_tail_probability(2, math.nan, 1.0), "scale"),
+    (lambda: privsvm.erlang_tail_probability(2, 1.0, math.nan), "threshold"),
+    (lambda: privsvm.calibrate_rff_dim(math.nan, 0.1, 1, 1.0, 2.0), "eps"),
+    (lambda: privsvm.calibrate_rff_dim(0.5, 0.1, 1, 1.0, math.nan), "diam"),
+    (lambda: privsvm.linear_separation_pair(math.nan, 10, 0.01), "C"),
+    (lambda: privsvm.rbf_packing_family(math.nan, 8, 0.3), "C"),
+    (lambda: privsvm.kernel_approx_audit(privsvm.rbf_kernel(1.0), 4, _unit_box(1), math.nan,
+                                         2, 5, 1), "eps"),
+    (lambda: privsvm.privacy_ratio_audit(_two_points(), _two_points(), 1.0, 0.1, math.nan,
+                                         10, 2, 0, 1, _unit_box(2)), "beta"),
+], ids=["sensitivity-C", "privacy-beta", "solver-tol", "laplace-scale", "erlang-scale",
+        "erlang-threshold", "rff-dim-eps", "rff-dim-diam", "linear-pair-C", "packing-C",
+        "kernel-approx-eps", "privacy-ratio-beta"])
+def test_nan_parameter_is_rejected(call, name):
+    # NaN passes every check written as x <= 0; each entry point must refuse
+    # it up front, not run on (the solver used to sweep to its limit)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call()
+
+
+def test_benchmark_span_targets_resolve(monkeypatch):
+    # privbench wraps library functions by name, so a rename silently zeroes
+    # a per-layer metric; rff.gram and solver.gram_any are known to wrap
+    # nothing, and the test fails if either comes back as well
+    known_dead = {"rff.gram", "solver.gram_any"}
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("privbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    dead = {span for span, (module, name, _) in layers.targets().items()
+            if not hasattr(importlib.import_module(f"privsvm.{module}"), name)}
+    assert dead == known_dead
