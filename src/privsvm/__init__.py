@@ -50,9 +50,9 @@ from .mechanisms import (
     calibrate_rff_dim_hinge,
     calibration_report_finite,
     calibration_report_rff,
+    noiseless_weights,
     optimal_dp_lower_bound_linear,
     optimal_dp_lower_bound_rbf,
-    optimal_dp_upper_bound_hinge,
     rbf_packing_size,
     sensitivity_finite,
     sensitivity_rff,

@@ -10,7 +10,8 @@ a smoke test with an explicit heuristic slack, never a proof.
 
 An audit of a release names its mechanism by the kernel, as a release names
 its feature map: `linear_kernel()` is the finite mechanism (phi(x) = x) and a
-translation-invariant kernel the random-feature one.
+translation-invariant kernel the random-feature one. Audits train and add
+noise by the release's own two steps, so they sample what a release ships.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ from .kernels import (
 )
 from .mechanisms import (
     calibrate_noise_privacy_finite,
+    noiseless_weights,
     rbf_packing_size,
     sensitivity_finite,
     train_private_rff,
 )
 from .rff import RandomFeatureMap, approx_failure_bound, grid_values
-from .solver import decision_values, primal_weights, solve_svm_dual
+from .solver import decision_values, solve_svm_dual
 
 __all__ = [
     "mix64",
@@ -206,7 +208,7 @@ def sensitivity_audit(
     labels, rotates it by a random offset (so every position gets its turn as
     the differing entry), replaces the last entry, trains the exact
     linear-map SVM on both, and records |w - w'|_1. The bound is
-    sensitivity_finite(1, C, kappa, d, n) = 4 C kappa sqrt(d) / n with kappa
+    sensitivity_finite(C, kappa, d, n) = 4 C kappa sqrt(d) / n with kappa
     the largest point norm in the box; the bound always holds, so any
     observed violation is an implementation defect.
     """
@@ -224,11 +226,11 @@ def sensitivity_audit(
         neighbor = neighbor_replace_last(
             db, rng.uniform(box.lower, box.upper, size=d), rng.integers(0, 2) * 2 - 1
         )
-        diff = (primal_weights(solve_svm_dual(db, linear_kernel(), C))
-                - primal_weights(solve_svm_dual(neighbor, linear_kernel(), C)))
+        diff = (noiseless_weights(db, linear_kernel(), C)
+                - noiseless_weights(neighbor, linear_kernel(), C))
         worst = max(worst, float(np.abs(diff).sum()))
     kappa = box.max_l2_norm()
-    bound = sensitivity_finite(1.0, C, kappa, d, n)
+    bound = sensitivity_finite(C, kappa, d, n)
     return AuditReport(
         name="sensitivity",
         trials=trials,
@@ -269,10 +271,11 @@ def utility_audit(
     `linear_kernel()` without `d_hat` audits the finite mechanism, a
     translation-invariant kernel with `d_hat` features the rff mechanism, and
     any other combination is a ValueError. The reference is the exact SVM on
-    that kernel. For the finite mechanism a trial adds the mechanism's noise
-    draws mu to the reference weights; released minus reference is mu^T x,
-    linear in x, so its sup over the box is attained at a corner and taken
-    exactly, as max(sum_j max(mu_j lo_j, mu_j hi_j), -sum_j min(mu_j lo_j, mu_j hi_j)),
+    that kernel. For the finite mechanism a trial perturbs the reference
+    weights as a release does; with mu the released minus the reference
+    weights, released minus reference is mu^T x, linear in x, so its sup over
+    the box is attained at a corner and taken exactly, as
+    max(sum_j max(mu_j lo_j, mu_j hi_j), -sum_j min(mu_j lo_j, mu_j hi_j)),
     and `grid_resolution` is unused. For the rff mechanism a trial is a
     `train_private_rff` run, evaluated by `grid_values` on a regular grid
     over the box with `grid_resolution` points per axis. Either sup is taken
@@ -299,12 +302,13 @@ def utility_audit(
         mechanism = "finite"
         grid_resolution = None  # unused: the sup over the box is exact
         eval_count = db.n
-        w_ref = primal_weights(solve_svm_dual(db, kernel, C))
+        w_ref = noiseless_weights(db, kernel, C)
         ref_train = db.points @ w_ref
 
         def released(rng):
-            mu = _mechanisms._draw_noise(lam, db.dim, rng)
-            vals = db.points @ (w_ref + mu)
+            w = _mechanisms._perturb(w_ref, lam, rng)
+            vals = db.points @ w
+            mu = w - w_ref
             lo, hi = mu * box.lower, mu * box.upper
             box_sup = max(np.maximum(lo, hi).sum(), -np.minimum(lo, hi).sum())
             return max(float(box_sup), float(np.max(np.abs(vals - ref_train)))), vals
@@ -458,10 +462,10 @@ def privacy_ratio_audit(
     d = db1.dim
     samples = []
     for which, db in enumerate((db1, db2)):
-        w = primal_weights(solve_svm_dual(db, linear_kernel(), C))
+        w = noiseless_weights(db, linear_kernel(), C)
         # solver output is deterministic; only the noise varies across trials
-        noise = _mechanisms._draw_noise(lam, trials * d, child_rng(seed, which)).reshape(trials, d)
-        samples.append(w[coordinate_index] + noise[:, coordinate_index])
+        released = _mechanisms._perturb(np.broadcast_to(w, (trials, d)), lam, child_rng(seed, which))
+        samples.append(released[:, coordinate_index])
 
     lo = min(samples[0].min(), samples[1].min())
     hi = max(samples[0].max(), samples[1].max())
@@ -473,7 +477,7 @@ def privacy_ratio_audit(
     details = {
         "lambda": lam,
         "lambda_required_for_beta": calibrate_noise_privacy_finite(
-            1.0, C, box.max_l2_norm(), d, beta, db1.n
+            C, box.max_l2_norm(), d, beta, db1.n
         ),
         "beta": beta,
         "bins": bins,

@@ -52,7 +52,8 @@ def _claimed_from_args(args) -> dict:
 
 
 def _box_from_args(args, dim: int) -> DomainBox:
-    return DomainBox(np.full(dim, args.box_min), np.full(dim, args.box_max))
+    # a list, not np.full: a dim below 1 gives an empty box, which DomainBox names
+    return DomainBox([args.box_min] * dim, [args.box_max] * dim)
 
 
 def _grid_from_args(args, dim: int) -> int:

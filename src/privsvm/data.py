@@ -88,6 +88,8 @@ class DomainBox:
         upper = _frozen_array(self.upper)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("bounds must be 1-D vectors of equal length")
+        if lower.size < 1:
+            raise ValueError("box dimension must be at least 1")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ValueError("bounds must be finite")
         if np.any(lower > upper):

@@ -1,19 +1,23 @@
 """Release mechanisms for SVM learning and their closed-form calibrations.
 
 Two private mechanisms are provided, both output perturbations of the primal
-weight vector on a finite feature map. Each computes the feature matrix of the
-training points once, trains the linear SVM on it, and adds Laplace noise:
+weight vector on a finite feature map:
 
 * `train_private_finite` uses the linear kernel's map phi(x) = x (F = d).
 * `train_private_rff` draws a random cosine/sine feature map for a
   translation-invariant kernel (random features, Rahimi and Recht 2007) and
   releases the noisy weights together with the spectral vectors.
 
+Each trains the linear SVM on the map's feature matrix of the training points
+(`noiseless_weights`) and adds Laplace noise (`_perturb`); the audits call the
+same two steps.
+
 Each guarantee formula is written here once, for the calibrations, reports
 and audits alike: the l1 sensitivities `sensitivity_finite` and
 `sensitivity_rff` (noise scale = sensitivity / beta, achieved privacy level =
-sensitivity / lambda) and the rbf packing size `rbf_packing_size`. lambda is
-always chosen by the caller, never silently picked here.
+sensitivity / lambda) and the rbf packing size `rbf_packing_size`. The hinge
+loss's Lipschitz constant L = 1 is part of each formula, not a parameter.
+lambda is always chosen by the caller, never silently picked here.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "train_private_finite",
     "train_private_rff",
     "features",
+    "noiseless_weights",
     "sensitivity_finite",
     "sensitivity_rff",
     "rbf_packing_size",
@@ -43,7 +48,6 @@ __all__ = [
     "calibrate_noise_utility_finite",
     "calibrate_noise_utility_rff",
     "calibrate_rff_dim_hinge",
-    "optimal_dp_upper_bound_hinge",
     "calibration_report_finite",
     "calibration_report_rff",
     "optimal_dp_lower_bound_linear",
@@ -52,12 +56,6 @@ __all__ = [
 
 # Largest rbf bandwidth admitted by the packing lower bound.
 RBF_SIGMA_CEILING = math.sqrt(1.0 / (2.0 * math.log(2.0)))
-
-
-def _draw_noise(scale, count, rng):
-    # Seam for tests that need the noiseless weights; release callers cannot
-    # disable noise through any public parameter.
-    return noise.sample_laplace(scale, count, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,20 +128,34 @@ def features(fmap, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _release(db, fmap, C, lam, rng, claimed, seed) -> PrivateModel:
-    # Train the linear SVM on the map's feature matrix, then add one
-    # Laplace(0, lam) draw per weight.
-    _require_positive(lam=lam)
+def noiseless_weights(db: Database, fmap, C: float) -> np.ndarray:
+    """Primal weights of the exact linear SVM on the map's feature matrix of
+    db's points: the vector a release on `fmap` perturbs."""
     phi = Database(features(fmap, db.points), db.labels)
-    w = primal_weights(solve_svm_dual(phi, linear_kernel(), C))
+    return primal_weights(solve_svm_dual(phi, linear_kernel(), C))
+
+
+def _perturb(w, lam, rng) -> np.ndarray:
+    # w plus one Laplace(0, lam) draw per entry, row-major, added in place to
+    # the fresh draws; the test seam for noiseless releases, never a parameter.
+    out = noise.sample_laplace(lam, np.size(w), rng).reshape(np.shape(w))
+    out += w
+    return out
+
+
+def _release(db, fmap, C, lam, rng, claimed, seed) -> PrivateModel:
+    claimed = dict(claimed or {})
+    _require_positive(lam=lam, **{k: claimed[k] for k in ("beta", "epsilon") if k in claimed})
+    if "delta" in claimed and not 0 < claimed["delta"] < 1:
+        raise ValueError("claimed delta must lie in (0, 1)")
     return PrivateModel(
-        weights=w + _draw_noise(lam, w.size, rng),
+        weights=_perturb(noiseless_weights(db, fmap, C), lam, rng),
         feature_map=fmap,
         C=float(C),
         lam=float(lam),
         n=db.n,
         dim=db.dim,
-        claimed=dict(claimed or {}),
+        claimed=claimed,
         seed=seed,
     )
 
@@ -182,23 +194,23 @@ def _require_positive(**values):
             raise ValueError(f"{name} must be finite and positive")
 
 
-def sensitivity_finite(L: float, C: float, kappa: float, F: int, n: int) -> float:
+def sensitivity_finite(C: float, kappa: float, F: int, n: int) -> float:
     """Bound 4 L C kappa sqrt(F) / n on |w - w'|_1 for neighbouring databases
-    of size n, on an F-dimensional map with sqrt(k(x, x)) <= kappa and an
-    L-Lipschitz loss."""
-    _require_positive(L=L, C=C, kappa=kappa, F=F)
+    of size n, on an F-dimensional map with sqrt(k(x, x)) <= kappa; the hinge
+    loss is 1-Lipschitz, so L = 1."""
+    _require_positive(C=C, kappa=kappa, F=F)
     if n <= 1:
         raise ValueError("n must exceed 1")
-    return 4.0 * L * C * kappa * math.sqrt(F) / n
+    return 4.0 * C * kappa * math.sqrt(F) / n
 
 
-def sensitivity_rff(L: float, C: float, d_hat: int, n: int) -> float:
-    """l1 sensitivity 2^2.5 L C sqrt(d_hat) / n of the random-feature weights;
-    the map has unit norm and 2*d_hat coordinates, hence the 2^2.5."""
-    _require_positive(L=L, C=C, d_hat=d_hat)
+def sensitivity_rff(C: float, d_hat: int, n: int) -> float:
+    """l1 sensitivity 2^2.5 L C sqrt(d_hat) / n (L = 1) of the random-feature
+    weights; the map has unit norm and 2*d_hat coordinates, hence the 2^2.5."""
+    _require_positive(C=C, d_hat=d_hat)
     if n <= 1:
         raise ValueError("n must exceed 1")
-    return 2.0**2.5 * L * C * math.sqrt(d_hat) / n
+    return 2.0**2.5 * C * math.sqrt(d_hat) / n
 
 
 def rbf_packing_size(sigma: float) -> int:
@@ -211,22 +223,18 @@ def rbf_packing_size(sigma: float) -> int:
     return math.floor((2.0 / sigma) * math.sqrt(2.0 / math.log(2.0)))
 
 
-def calibrate_noise_privacy_finite(
-    L: float, C: float, kappa: float, F: int, beta: float, n: int
-) -> float:
+def calibrate_noise_privacy_finite(C: float, kappa: float, F: int, beta: float, n: int) -> float:
     """Smallest noise scale giving beta-privacy on an F-dimensional map:
-    `sensitivity_finite(L, C, kappa, F, n) / beta`."""
+    `sensitivity_finite(C, kappa, F, n) / beta`."""
     _require_positive(beta=beta)
-    return sensitivity_finite(L, C, kappa, F, n) / beta
+    return sensitivity_finite(C, kappa, F, n) / beta
 
 
-def calibrate_noise_privacy_rff(
-    L: float, C: float, d_hat: int, beta: float, n: int
-) -> float:
+def calibrate_noise_privacy_rff(C: float, d_hat: int, beta: float, n: int) -> float:
     """Smallest noise scale giving beta-privacy for the random-feature
-    mechanism: `sensitivity_rff(L, C, d_hat, n) / beta`."""
+    mechanism: `sensitivity_rff(C, d_hat, n) / beta`."""
     _require_positive(beta=beta)
-    return sensitivity_rff(L, C, d_hat, n) / beta
+    return sensitivity_rff(C, d_hat, n) / beta
 
 
 def calibrate_noise_utility_finite(eps: float, delta: float, Phi: float, F: int) -> float:
@@ -298,56 +306,37 @@ class CalibrationReport:
         }
 
 
-def optimal_dp_upper_bound_hinge(
-    eps: float, delta: float, C: float, n: int, d: int, sigma_p: float, diam: float
-) -> CalibrationReport:
-    """Best privacy level the rff mechanism certifies at an (eps, delta) target.
-
-    Picks d_hat by `calibrate_rff_dim_hinge`, sets lambda to the utility
-    ceiling, and reports beta = sensitivity_rff(1, C, d_hat, n) / lambda. By
-    construction the window is exactly closed, so the report is feasible.
-    """
-    d_hat = calibrate_rff_dim_hinge(eps, delta, C, d, sigma_p, diam)
-    lam_max = calibrate_noise_utility_rff(eps, delta, d_hat)
-    return CalibrationReport(
-        lambda_min_privacy=lam_max,
-        lambda_max_utility=lam_max,
-        d_hat=d_hat,
-        feasible=True,
-        beta_achievable=sensitivity_rff(1.0, C, d_hat, n) / lam_max,
-    )
-
-
 def calibration_report_finite(
     beta: float, eps: float, delta: float, C: float, n: int,
-    kappa: float, Phi: float, F: int, L: float = 1.0,
+    kappa: float, Phi: float, F: int,
 ) -> CalibrationReport:
     """Both sides of the noise window for the finite mechanism at a given beta."""
-    lam_min = calibrate_noise_privacy_finite(L, C, kappa, F, beta, n)
+    lam_min = calibrate_noise_privacy_finite(C, kappa, F, beta, n)
     lam_max = calibrate_noise_utility_finite(eps, delta, Phi, F)
     return CalibrationReport(
         lambda_min_privacy=lam_min,
         lambda_max_utility=lam_max,
         d_hat=None,
         feasible=lam_min <= lam_max,
-        beta_achievable=sensitivity_finite(L, C, kappa, F, n) / lam_max,
+        beta_achievable=sensitivity_finite(C, kappa, F, n) / lam_max,
     )
 
 
 def calibration_report_rff(
     beta: float, eps: float, delta: float, C: float, n: int,
-    d: int, sigma_p: float, diam: float, L: float = 1.0,
+    d: int, sigma_p: float, diam: float,
 ) -> CalibrationReport:
-    """Both sides of the noise window for the rff mechanism at a given beta."""
+    """Both sides of the noise window for the rff mechanism at a given beta;
+    `beta_achievable` is the best beta it certifies at (eps, delta)."""
     d_hat = calibrate_rff_dim_hinge(eps, delta, C, d, sigma_p, diam)
-    lam_min = calibrate_noise_privacy_rff(L, C, d_hat, beta, n)
+    lam_min = calibrate_noise_privacy_rff(C, d_hat, beta, n)
     lam_max = calibrate_noise_utility_rff(eps, delta, d_hat)
     return CalibrationReport(
         lambda_min_privacy=lam_min,
         lambda_max_utility=lam_max,
         d_hat=d_hat,
         feasible=lam_min <= lam_max,
-        beta_achievable=sensitivity_rff(L, C, d_hat, n) / lam_max,
+        beta_achievable=sensitivity_rff(C, d_hat, n) / lam_max,
     )
 
 

@@ -190,6 +190,8 @@ def model_from_doc(doc: dict):
     if mechanism in ("private_finite", "private_rff"):
         if mechanism == "private_rff":
             fmap = RandomFeatureMap(doc.read("omegas", _floats, 2), kernel)
+            if doc.read("d_hat", operator.index) != fmap.d_hat:
+                raise ValueError(f"model field 'd_hat' differs from the {fmap.d_hat} rows of 'omegas'")
         elif kernel == linear_kernel():
             fmap = kernel
         else:

@@ -69,10 +69,10 @@ def test_sensitivity_bound_random_pairs():
 
 @pytest.mark.acceptance
 def test_calibration_arithmetic():
-    assert calibrate_noise_privacy_finite(1, 1, 1, 4, 1, 100) == pytest.approx(
+    assert calibrate_noise_privacy_finite(1, 1, 4, 1, 100) == pytest.approx(
         0.08, rel=1e-12
     )
-    assert calibrate_noise_privacy_rff(1, 1, 4, 1, 100) == pytest.approx(
+    assert calibrate_noise_privacy_rff(1, 4, 1, 100) == pytest.approx(
         2.0**3.5 / 100.0, rel=1e-12
     )
     assert calibrate_noise_utility_rff(1.0, 0.2, 4) == pytest.approx(
@@ -200,7 +200,7 @@ def test_privacy_ratio_smoke_test():
     fam = linear_separation_pair(1.0, 10, 0.04)
     d1, d2 = fam.databases
     beta = 1.0
-    lam = calibrate_noise_privacy_finite(1.0, 1.0, 0.8, 1, beta, 10)
+    lam = calibrate_noise_privacy_finite(1.0, 0.8, 1, beta, 10)
     report = privacy_ratio_audit(
         d1, d2, C=1.0, lam=lam, beta=beta, trials=10**5, bins=40, coordinate_index=0, seed=313,
         box=DomainBox(np.array([-0.8]), np.array([0.8])),  # the pair reaches +-0.8

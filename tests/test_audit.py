@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from privsvm.mechanisms import (
     optimal_dp_lower_bound_rbf,
     rbf_packing_size,
     sensitivity_finite,
+    train_private_finite,
     train_private_rff,
 )
 from privsvm.rff import RandomFeatureMap, calibrate_rff_dim, displacement_kernel
@@ -119,7 +121,7 @@ def test_sensitivity_audit_small_run():
     report = sensitivity_audit(40, 10, 1.0, unit_box(), seed=2)
     assert report.passed
     assert report.bound == pytest.approx(4 * math.sqrt(2) * math.sqrt(2) / 10)
-    assert report.bound == sensitivity_finite(1.0, 1.0, unit_box().max_l2_norm(), 2, 10)
+    assert report.bound == sensitivity_finite(1.0, unit_box().max_l2_norm(), 2, 10)
     assert 0.0 < report.statistic <= report.bound
 
 
@@ -150,9 +152,7 @@ def fixed_db(n=20, seed=4):
 
 
 def test_utility_audit_zero_noise_statistic_is_zero(monkeypatch):
-    monkeypatch.setattr(
-        mechanisms, "_draw_noise", lambda scale, count, rng: np.zeros(count)
-    )
+    monkeypatch.setattr(mechanisms, "_perturb", lambda w, lam, rng: np.array(w))
     report = utility_audit(fixed_db(), linear_kernel(), 1.0, 0.05, 0.5, 0.1, 20, None, 1,
                            unit_box())
     assert report.statistic == 0.0
@@ -199,12 +199,31 @@ def test_utility_audit_rff_matches_pointwise_evaluation(eps):
     assert report.passed == (failures / trials <= 0.5)
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.2])
+def test_utility_audit_finite_matches_release_evaluation(eps):
+    # the box sup is taken in closed form; the failure count must be the one
+    # each release's decision_values gives at the box corners and training points
+    db = fixed_db(n=12)
+    C, lam, trials, seed = 1.0, 0.1, 20, 3
+    box = unit_box()
+    report = utility_audit(db, linear_kernel(), C, lam, eps, 0.5, trials, None, seed, box)
+    corners = np.array(list(itertools.product(*zip(box.lower, box.upper))))
+    eval_points = np.vstack([corners, db.points])
+    ref = decision_values(solve_svm_dual(db, linear_kernel(), C), eval_points)
+    failures = sum(
+        np.max(np.abs(train_private_finite(db, C, lam, child_rng(seed, t))
+                      .decision_values(eval_points) - ref)) > eps
+        for t in range(trials)
+    )
+    assert 0 < failures < trials
+    assert report.statistic == failures / trials
+    assert report.passed == (failures / trials <= 0.5)
+
+
 def test_utility_audit_finite_sup_on_asymmetric_box(monkeypatch):
     # mu = (1, -1) on [0, 1]^2: mu^T x ranges over [-1, 1], so the sup is 1,
     # not the 2 that sum_j max(|mu_j lo_j|, |mu_j hi_j|) would give
-    monkeypatch.setattr(
-        mechanisms, "_draw_noise", lambda scale, count, rng: np.array([1.0, -1.0])
-    )
+    monkeypatch.setattr(mechanisms, "_perturb", lambda w, lam, rng: w + np.array([1.0, -1.0]))
     rng = np.random.default_rng(2)
     db = Database(rng.uniform(0, 1, (10, 2)), np.array([1.0, -1.0] * 5))
     box = DomainBox(np.zeros(2), np.ones(2))
@@ -277,14 +296,14 @@ def test_privacy_ratio_identical_databases_near_zero():
 def test_privacy_ratio_on_separation_pair():
     fam = linear_separation_pair(1.0, 10, 0.04)
     d1, d2 = fam.databases
-    lam = calibrate_noise_privacy_finite(1.0, 1.0, 0.8, 1, 1.0, 10)
+    lam = calibrate_noise_privacy_finite(1.0, 0.8, 1, 1.0, 10)
     box = DomainBox(np.array([-0.8]), np.array([0.8]))  # the pair's points reach +-M = 0.8
     report = privacy_ratio_audit(d1, d2, 1.0, lam, 1.0, 20_000, 40, 0, 17, box)
     assert report.passed
     assert report.details["smoke_test"]
     assert report.details["lambda_required_for_beta"] == pytest.approx(lam, rel=1e-12)
     assert report.details["lambda_required_for_beta"] == calibrate_noise_privacy_finite(
-        1.0, 1.0, box.max_l2_norm(), 1, 1.0, 10
+        1.0, box.max_l2_norm(), 1, 1.0, 10
     )
 
 

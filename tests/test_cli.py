@@ -137,6 +137,42 @@ def test_nan_parameter_is_an_error_line(capsys, data_file, tmp_path, argv, name)
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("claim, name", [
+    (["--beta", "-3"], "beta"),
+    (["--beta", "inf"], "beta"),
+    (["--eps", "nan"], "epsilon"),
+    (["--eps", "0"], "epsilon"),
+    (["--delta", "7"], "delta"),
+    (["--delta", "0"], "delta"),
+], ids=["beta-negative", "beta-inf", "eps-nan", "eps-zero", "delta-7", "delta-0"])
+def test_release_refuses_malformed_claim(capsys, data_file, tmp_path, claim, name):
+    # a release used to write such a claim into `claimed` and exit 0
+    out_path = tmp_path / "m.json"
+    code, out, err = run(capsys, ["private-train-finite", "--data", data_file, "--c", "1.0",
+                                  "--lambda", "0.1", "--seed", "1", "--out", str(out_path)] + claim)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert name in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--mechanism", "finite", "--beta", "1", "--eps", "0.5", "--delta", "0.1",
+     "--c", "1", "--n", "100", "--dim", "0"],
+    ["audit", "--name", "kernel-approx", "--seed", "1", "--sigma", "1.0", "--d-hat", "10",
+     "--eps", "0.25", "--dim", "0"],
+    ["audit", "--name", "sensitivity", "--seed", "1", "--n", "10", "--dim", "-1"],
+], ids=["calibrate-dim-0", "kernel-approx-dim-0", "sensitivity-dim-minus-1"])
+def test_box_dimension_below_one_is_a_named_error(capsys, argv):
+    # each used to end deep in numpy (an empty reduction, an empty stack,
+    # a negative array size)
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: box dimension must be at least 1\n"
+
+
 def test_predict_two_point_model(capsys, data_file, tmp_path):
     model_path = str(tmp_path / "model.json")
     assert main(["train", "--data", data_file, "--kernel", "linear",
@@ -153,6 +189,8 @@ def test_predict_two_point_model(capsys, data_file, tmp_path):
 
 FINITE = {"format_version": 1, "mechanism": "private_finite", "kernel": {"family": "linear"},
           "C": 1.0, "lambda": 0.1, "n": 2, "dim": 2, "weights": [0.5, -0.5]}
+RFF = {**FINITE, "mechanism": "private_rff", "kernel": {"family": "rbf", "sigma": 1.0},
+       "d_hat": 4, "omegas": [[0.0, 0.0]] * 4, "weights": [0.0] * 8}
 SVM = {"format_version": 1, "mechanism": "svm", "kernel": {"family": "linear"}, "C": 1.0,
        "alphas": [0.25, 0.25], "entries": [[1.0, 0.0, 1], [-1.0, 0.0, -1]],
        "objective": 0.25, "residual": 0.0, "sweeps": 1}
@@ -173,9 +211,10 @@ SVM = {"format_version": 1, "mechanism": "svm", "kernel": {"family": "linear"}, 
     ({**FINITE, "lambda": "nan"}, "lam must be finite and positive"),
     ({**FINITE, "n": -5}, "n must be at least 2"),
     ({**FINITE, "dim": 0, "weights": []}, "dim must be at least 1"),
+    ({**RFF, "d_hat": 99}, "'d_hat'"),
 ], ids=["no-kernel", "no-weights", "kernel-no-family", "n-null", "C-null", "claimed-list",
         "entries-1d", "seed-string", "sigma-string", "alphas-short", "svm-C-inf",
-        "lambda-nan", "n-negative", "dim-zero"])
+        "lambda-nan", "n-negative", "dim-zero", "rff-d-hat-not-omega-rows"])
 def test_predict_model_missing_field_is_an_error_line(capsys, data_file, tmp_path, doc, field):
     model = tmp_path / "bad.json"
     model.write_text(json.dumps(doc))
@@ -379,7 +418,7 @@ def test_calibrate_rff_matches_library(capsys):
     d_hat = calibrate_rff_dim_hinge(0.5, 0.1, 1.0, 2, math.sqrt(2.0), 2.0)
     assert doc["d_hat"] == d_hat
     assert doc["lambda_min_privacy"] == pytest.approx(
-        calibrate_noise_privacy_rff(1.0, 1.0, d_hat, 1.0, 100), rel=1e-12
+        calibrate_noise_privacy_rff(1.0, d_hat, 1.0, 100), rel=1e-12
     )
     assert doc["lambda_max_utility"] == pytest.approx(
         calibrate_noise_utility_rff(0.5, 0.1, d_hat), rel=1e-12
@@ -606,7 +645,7 @@ def test_audit_privacy_ratio_kappa_from_box(capsys, tmp_path):
     kappa = DomainBox(np.full(2, -3.0), np.full(2, 2.0)).max_l2_norm()
     assert kappa == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-15)
     assert json.loads(out)["audit"]["details"]["lambda_required_for_beta"] == (
-        calibrate_noise_privacy_finite(1.0, 1.0, kappa, 2, 1.0, 8))
+        calibrate_noise_privacy_finite(1.0, kappa, 2, 1.0, 8))
 
 
 def test_readme_cli_lines_parse():

@@ -18,12 +18,13 @@ from privsvm.mechanisms import (
     calibration_report_rff,
     optimal_dp_lower_bound_linear,
     optimal_dp_lower_bound_rbf,
-    optimal_dp_upper_bound_hinge,
+    noiseless_weights,
     sensitivity_finite,
     sensitivity_rff,
     train_private_finite,
     train_private_rff,
 )
+from privsvm.noise import sample_laplace
 from privsvm.rff import CalibrationError, RandomFeatureMap, feature_matrix
 from privsvm.solver import primal_weights, solve_svm_dual
 
@@ -33,9 +34,7 @@ def two_point_db():
 
 
 def _zero_noise(monkeypatch):
-    monkeypatch.setattr(
-        mechanisms, "_draw_noise", lambda scale, count, rng: np.zeros(count)
-    )
+    monkeypatch.setattr(mechanisms, "_perturb", lambda w, lam, rng: np.array(w))
 
 
 def test_private_finite_zero_noise_hook(monkeypatch):
@@ -53,6 +52,19 @@ def test_private_finite_noise_reproducible_from_seed():
     u = np.random.default_rng(seed).random(2) - 0.5
     mu = -0.1 * np.sign(u) * np.log1p(-2.0 * np.abs(u))
     assert np.array_equal(model.weights, np.array([1.0, 0.0]) + mu)
+
+
+def test_release_perturbs_the_noiseless_weights():
+    # a release is noiseless_weights plus one Laplace draw per weight from
+    # rng, and _perturb of a stacked copy draws the rows in order
+    rng = np.random.default_rng(5)
+    db = Database(rng.uniform(-1, 1, (12, 3)), rng.choice([-1.0, 1.0], 12))
+    w = noiseless_weights(db, linear_kernel(), 1.5)
+    model = train_private_finite(db, 1.5, 0.2, np.random.default_rng(9))
+    assert np.array_equal(model.weights, w + sample_laplace(0.2, 3, np.random.default_rng(9)))
+    stacked = mechanisms._perturb(np.broadcast_to(w, (4, 3)), 0.2, np.random.default_rng(9))
+    assert np.array_equal(stacked[0], model.weights)
+    assert np.array_equal(stacked, w + sample_laplace(0.2, 12, np.random.default_rng(9)).reshape(4, 3))
 
 
 def test_private_finite_noise_is_zero_mean():
@@ -91,6 +103,7 @@ def test_private_rff_zero_noise_releases_primal_weights(monkeypatch):
     phi = Database(feature_matrix(model.feature_map, db.points), db.labels)
     expected = primal_weights(solve_svm_dual(phi, linear_kernel(), 1.5))
     assert np.array_equal(model.weights, expected)
+    assert np.array_equal(noiseless_weights(db, model.feature_map, 1.5), expected)
 
 
 def test_private_rff_computes_the_feature_matrix_once(monkeypatch):
@@ -203,27 +216,27 @@ def test_private_model_rejects_non_finite_weights(bad):
 
 
 def test_calibrate_noise_privacy_finite():
-    assert calibrate_noise_privacy_finite(1, 1, 1, 4, 1, 100) == pytest.approx(0.08, rel=1e-12)
-    full = calibrate_noise_privacy_finite(1, 1, 1, 4, 1, 100)
-    assert calibrate_noise_privacy_finite(1, 1, 1, 4, 1, 200) == pytest.approx(full / 2, rel=1e-12)
-    assert calibrate_noise_privacy_finite(1, 1, 1, 1, 1, 100) == pytest.approx(full / 2, rel=1e-12)
+    assert calibrate_noise_privacy_finite(1, 1, 4, 1, 100) == pytest.approx(0.08, rel=1e-12)
+    full = calibrate_noise_privacy_finite(1, 1, 4, 1, 100)
+    assert calibrate_noise_privacy_finite(1, 1, 4, 1, 200) == pytest.approx(full / 2, rel=1e-12)
+    assert calibrate_noise_privacy_finite(1, 1, 1, 1, 100) == pytest.approx(full / 2, rel=1e-12)
     with pytest.raises(ValueError):
-        calibrate_noise_privacy_finite(1, 1, 1, 4, 0, 100)
+        calibrate_noise_privacy_finite(1, 1, 4, 0, 100)
     with pytest.raises(ValueError):
-        calibrate_noise_privacy_finite(1, 1, 1, 4, 1, 1)
-    assert calibrate_noise_privacy_finite(2, 3, 1.5, 5, 0.7, 90) == (
-        sensitivity_finite(2, 3, 1.5, 5, 90) / 0.7
+        calibrate_noise_privacy_finite(1, 1, 4, 1, 1)
+    assert calibrate_noise_privacy_finite(3, 1.5, 5, 0.7, 90) == (
+        sensitivity_finite(3, 1.5, 5, 90) / 0.7
     )
 
 
 def test_calibrate_noise_privacy_rff():
-    assert calibrate_noise_privacy_rff(1, 1, 4, 1, 100) == pytest.approx(2**3.5 / 100, rel=1e-12)
-    base = calibrate_noise_privacy_rff(1, 1, 4, 1, 100)
-    assert calibrate_noise_privacy_rff(1, 1, 16, 1, 100) == pytest.approx(2 * base, rel=1e-12)
-    assert calibrate_noise_privacy_rff(1, 1, 4, 2, 100) == pytest.approx(base / 2, rel=1e-12)
-    assert calibrate_noise_privacy_rff(2, 3, 7, 0.7, 90) == sensitivity_rff(2, 3, 7, 90) / 0.7
+    assert calibrate_noise_privacy_rff(1, 4, 1, 100) == pytest.approx(2**3.5 / 100, rel=1e-12)
+    base = calibrate_noise_privacy_rff(1, 4, 1, 100)
+    assert calibrate_noise_privacy_rff(1, 16, 1, 100) == pytest.approx(2 * base, rel=1e-12)
+    assert calibrate_noise_privacy_rff(1, 4, 2, 100) == pytest.approx(base / 2, rel=1e-12)
+    assert calibrate_noise_privacy_rff(3, 7, 0.7, 90) == sensitivity_rff(3, 7, 90) / 0.7
     with pytest.raises(ValueError):
-        sensitivity_rff(1, 1, 4, 1)
+        sensitivity_rff(1, 4, 1)
 
 
 def test_calibrate_noise_utility_finite():
@@ -268,21 +281,22 @@ def test_calibrate_rff_dim_hinge():
         calibrate_rff_dim_hinge(1.0, 0.1, 1.0, 2, math.inf, 1.0)
 
 
-def test_upper_bound_report_composition():
+def test_calibration_report_rff_beta_achievable():
+    # the best beta the rff mechanism certifies at an (eps, delta) target:
+    # lambda at the utility ceiling, beta = sensitivity_rff / lambda
     eps, delta, C, n, d = 1.0, 0.1, 1.0, 100, 2
     sigma_p, diam = math.sqrt(2.0), 2.0
-    report = optimal_dp_upper_bound_hinge(eps, delta, C, n, d, sigma_p, diam)
+    report = calibration_report_rff(1.0, eps, delta, C, n, d, sigma_p, diam)
     lam_max = calibrate_noise_utility_rff(eps, delta, report.d_hat)
     assert report.lambda_max_utility == lam_max
     assert report.beta_achievable == pytest.approx(
         2**2.5 * C * math.sqrt(report.d_hat) / (lam_max * n), rel=1e-12
     )
-    assert report.feasible
 
-    bigger_n = optimal_dp_upper_bound_hinge(eps, delta, C, 1000, d, sigma_p, diam)
+    bigger_n = calibration_report_rff(1.0, eps, delta, C, 1000, d, sigma_p, diam)
     assert bigger_n.beta_achievable < report.beta_achievable
 
-    tighter_eps = optimal_dp_upper_bound_hinge(0.5, delta, C, n, d, sigma_p, diam)
+    tighter_eps = calibration_report_rff(1.0, 0.5, delta, C, n, d, sigma_p, diam)
     assert tighter_eps.beta_achievable > report.beta_achievable
 
 

@@ -48,8 +48,8 @@ def _unit_box(d):
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: privsvm.sensitivity_finite(1.0, math.nan, 1.0, 2, 10), "C"),
-    (lambda: privsvm.calibrate_noise_privacy_finite(1.0, 1.0, 1.0, 2, math.nan, 10), "beta"),
+    (lambda: privsvm.sensitivity_finite(math.nan, 1.0, 2, 10), "C"),
+    (lambda: privsvm.calibrate_noise_privacy_finite(1.0, 1.0, 2, math.nan, 10), "beta"),
     (lambda: privsvm.solve_svm_dual(_two_points(), privsvm.linear_kernel(), 1.0,
                                     tol=math.nan, max_sweeps=20000), "tol"),
     (lambda: privsvm.sample_laplace(math.nan, 3, np.random.default_rng(0)), "scale"),
