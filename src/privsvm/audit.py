@@ -527,7 +527,7 @@ def packing_separation_audit(C: float, n: int, sigma: float) -> AuditReport:
     models = [solve_svm_dual(db, kernel, C) for db in family.databases]
     last_alphas = [float(m.alphas[-1]) for m in models]
 
-    N = family.params["N"]
+    N = len(family.databases)
     probes = np.array([db.points[-1] for db in family.databases])
     # values[j, i] = f_j(x_{i,last}); each model is evaluated once on all probes
     values = np.array([decision_values(model, probes) for model in models])
@@ -537,7 +537,7 @@ def packing_separation_audit(C: float, n: int, sigma: float) -> AuditReport:
     refined = (
         1.0 - math.exp(-(2.0 / sigma**2) * math.sin(math.pi / N) ** 2)
     ) * C / n
-    bound = C / (2.0 * n)
+    bound = family.expected_separation
     tolerance = 1e-6
     return AuditReport(
         name="rbf_packing_separation",

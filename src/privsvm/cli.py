@@ -12,7 +12,8 @@ never from the data.
 Every randomized subcommand requires an explicit --seed. Reusing a seed
 makes runs reproducible for testing and auditing, but a released model must
 use fresh randomness: repeating noise across releases voids the privacy
-guarantee.
+guarantee. A release file never records --seed, since the seed regenerates
+the noise and with it the noiseless weights.
 """
 
 from __future__ import annotations
@@ -75,11 +76,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_private_train_finite(args) -> int:
     db = load_csv(args.data, has_header=args.header)
-    claimed = _claimed_from_args(args)
-    claimed.update({"L": 1.0, "F": db.dim, "n": db.n})
     rng = np.random.default_rng(args.seed)
     model = mechanisms.train_private_finite(
-        db, args.c, args.lam, rng, claimed=claimed, seed=args.seed
+        db, args.c, args.lam, rng, claimed=_claimed_from_args(args)
     )
     model_io.save_model(model, args.out)
     print(json.dumps({"written": args.out, "n": db.n, "dim": db.dim}))
@@ -89,11 +88,9 @@ def _cmd_private_train_finite(args) -> int:
 def _cmd_private_train_rff(args) -> int:
     db = load_csv(args.data, has_header=args.header)
     kernel = _kernel_from_args(args)
-    claimed = _claimed_from_args(args)
-    claimed.update({"L": 1.0, "d_hat": args.d_hat, "n": db.n})
     rng = np.random.default_rng(args.seed)
     model = mechanisms.train_private_rff(
-        db, kernel, args.c, args.lam, args.d_hat, rng, claimed=claimed, seed=args.seed
+        db, kernel, args.c, args.lam, args.d_hat, rng, claimed=_claimed_from_args(args)
     )
     model_io.save_model(model, args.out)
     print(json.dumps({"written": args.out, "n": db.n, "dim": db.dim, "d_hat": args.d_hat}))
@@ -198,6 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma", type=float, default=None,
                        help="rbf bandwidth (rbf kernel only)")
 
+    def add_box_flags(p):
+        p.add_argument("--box-min", type=float, default=-1.0)
+        p.add_argument("--box-max", type=float, default=1.0)
+
     def add_release_flags(p):
         p.add_argument("--data", required=True)
         p.add_argument("--c", type=float, required=True)
@@ -239,10 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--kernel", choices=_KERNEL_CHOICES, default="rbf")
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--box-min", type=float, default=-1.0)
-    p.add_argument("--box-max", type=float, default=1.0)
+    add_kernel_flags(p, "rbf")
+    add_box_flags(p)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("audit", help="run a seeded audit and print its report")
@@ -255,15 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data2", default=None)
     p.add_argument("--header", action="store_true")
     p.add_argument("--mechanism", choices=("finite", "rff"), default="finite")
-    p.add_argument("--kernel", choices=_KERNEL_CHOICES, default="rbf")
-    p.add_argument("--sigma", type=float, default=None)
+    add_kernel_flags(p, "rbf")
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--d-hat", type=int, default=None)
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--box-min", type=float, default=-1.0)
-    p.add_argument("--box-max", type=float, default=1.0)
+    add_box_flags(p)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)

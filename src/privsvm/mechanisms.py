@@ -66,9 +66,9 @@ class PrivateModel:
     (phi(x) = x, dim weights) or a RandomFeatureMap (2*d_hat weights). `n`,
     at least 2, is the training set's size and `dim`, at least 1, its
     points' dimension.
-    `claimed` records the guarantee metadata (beta or eps/delta plus
-    calibration inputs) asserted by the caller. The training coefficients and
-    examples are deliberately absent.
+    `claimed` records the guarantee metadata (beta or eps/delta) asserted by
+    the caller. The training coefficients and examples, and anything that
+    could regenerate the noise, are deliberately absent.
     """
 
     weights: np.ndarray
@@ -78,7 +78,6 @@ class PrivateModel:
     n: int
     dim: int
     claimed: dict = field(default_factory=dict)
-    seed: int | None = None
 
     def __post_init__(self):
         weights = np.array(self.weights, dtype=np.float64)
@@ -113,8 +112,8 @@ class PrivateModel:
         return (
             np.array_equal(self.weights, other.weights)
             and self.feature_map == other.feature_map
-            and (self.C, self.lam, self.claimed, self.n, self.dim, self.seed)
-            == (other.C, other.lam, other.claimed, other.n, other.dim, other.seed)
+            and (self.C, self.lam, self.claimed, self.n, self.dim)
+            == (other.C, other.lam, other.claimed, other.n, other.dim)
         )
 
 
@@ -143,7 +142,7 @@ def _perturb(w, lam, rng) -> np.ndarray:
     return out
 
 
-def _release(db, fmap, C, lam, rng, claimed, seed) -> PrivateModel:
+def _release(db, fmap, C, lam, rng, claimed) -> PrivateModel:
     claimed = dict(claimed or {})
     _require_positive(lam=lam, **{k: claimed[k] for k in ("beta", "epsilon") if k in claimed})
     if "delta" in claimed and not 0 < claimed["delta"] < 1:
@@ -156,25 +155,23 @@ def _release(db, fmap, C, lam, rng, claimed, seed) -> PrivateModel:
         n=db.n,
         dim=db.dim,
         claimed=claimed,
-        seed=seed,
     )
 
 
 def train_private_finite(
-    db: Database, C: float, lam: float, rng, claimed: dict | None = None,
-    seed: int | None = None,
+    db: Database, C: float, lam: float, rng, claimed: dict | None = None
 ) -> PrivateModel:
     """Train on the linear kernel's map phi(x) = x and release noisy weights.
 
     The released vector is sum_i a_i y_i x_i plus d i.i.d. Laplace(0, lam)
     draws from `rng`.
     """
-    return _release(db, linear_kernel(), C, lam, rng, claimed, seed)
+    return _release(db, linear_kernel(), C, lam, rng, claimed)
 
 
 def train_private_rff(
     db: Database, kernel: KernelSpec, C: float, lam: float, d_hat: int, rng,
-    claimed: dict | None = None, seed: int | None = None,
+    claimed: dict | None = None,
 ) -> PrivateModel:
     """Train in a random feature space and release noisy weights plus the map.
 
@@ -185,7 +182,7 @@ def train_private_rff(
     if d_hat < 1:
         raise ValueError("d_hat must be positive")
     fmap = RandomFeatureMap.from_rng(kernel, db.dim, d_hat, rng)
-    return _release(db, fmap, C, lam, rng, claimed, seed)
+    return _release(db, fmap, C, lam, rng, claimed)
 
 
 def _require_positive(**values):

@@ -131,8 +131,6 @@ def _private_doc(model: PrivateModel) -> dict:
         "n": int(model.n),
         "dim": int(model.dim),
     }
-    if model.seed is not None:
-        doc["seed"] = int(model.seed)
     if is_rff:
         doc["mechanism"] = "private_rff"
         doc["d_hat"] = fmap.d_hat
@@ -206,7 +204,6 @@ def model_from_doc(doc: dict):
             claimed=doc.read("claimed", dict.copy) if "claimed" in doc else {},
             n=doc.read("n", operator.index),
             dim=doc.read("dim", operator.index),
-            seed=None if doc.get("seed") is None else doc.read("seed", operator.index),
         )
     raise ValueError(f"unknown mechanism {mechanism!r}")
 

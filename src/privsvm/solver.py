@@ -217,8 +217,6 @@ def solve_svm_dual(
     alphas = np.zeros(n)
     q = np.zeros(n)  # Q @ alphas, maintained incrementally
     trace = []
-    residual = np.inf
-    sweeps_done = 0
     movable = range(n)
     free = tried = np.empty(0, dtype=np.intp)
     for sweep in range(1, max_sweeps + 1):
@@ -237,7 +235,6 @@ def solve_svm_dual(
             if step != 0.0:
                 alphas[i] = new
                 q += step * Q[:, i]
-        sweeps_done = sweep
         if sweep % 64 == 0:
             q = Q @ alphas  # shed incremental rounding drift
         settled, free = free, np.flatnonzero((alphas > 0.0) & (alphas < upper))
@@ -250,26 +247,25 @@ def solve_svm_dual(
         if residual <= tol:
             break
         movable = movable.tolist()  # Python ints index faster than numpy scalars
-    else:
-        q = Q @ alphas
-        raise ConvergenceError(
-            f"no convergence after {max_sweeps} sweeps (residual {residual:.3e})",
-            alphas,
-            kkt_residual(alphas, 1.0 - q, upper),
-            float(alphas.sum() - 0.5 * (alphas @ q)),
-            sweeps_done,
-        )
 
+    # max_sweeps >= 1, so the loop ran and set `sweep` and `residual`
+    converged = residual <= tol
     q = Q @ alphas
     objective = float(alphas.sum() - 0.5 * (alphas @ q))
+    residual = kkt_residual(alphas, 1.0 - q, upper)
+    if not converged:
+        raise ConvergenceError(
+            f"no convergence after {max_sweeps} sweeps (residual {residual:.3e})",
+            alphas, residual, objective, sweep,
+        )
     return SvmModel(
         alphas=alphas,
         support=db,
         kernel=kernel,
         C=float(C),
         objective=objective,
-        residual=float(kkt_residual(alphas, 1.0 - q, upper)),
-        sweeps=sweeps_done,
+        residual=residual,
+        sweeps=sweep,
         objective_trace=tuple(trace),
     )
 

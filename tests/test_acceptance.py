@@ -177,14 +177,13 @@ def test_solver_oracle_equivalence():
 def test_release_contract_round_trip(tmp_path):
     rng = np.random.default_rng(111)
     db = Database(rng.uniform(-1, 1, (10, 2)), rng.choice([-1.0, 1.0], 10))
-    finite = train_private_finite(db, 1.0, 0.3, np.random.default_rng(1), seed=1)
-    rff = train_private_rff(
-        db, rbf_kernel(1.0), 1.0, 0.3, 16, np.random.default_rng(2), seed=2
-    )
+    finite = train_private_finite(db, 1.0, 0.3, np.random.default_rng(1))
+    rff = train_private_rff(db, rbf_kernel(1.0), 1.0, 0.3, 16, np.random.default_rng(2))
     for name, model in (("finite", finite), ("rff", rff)):
         doc = model_to_doc(model)
         assert "alphas" not in doc
         assert "entries" not in doc
+        assert "seed" not in doc
         path = tmp_path / f"{name}.json"
         save_model(model, path)
         loaded = load_model(path)

@@ -204,7 +204,6 @@ SVM = {"format_version": 1, "mechanism": "svm", "kernel": {"family": "linear"}, 
     ({**FINITE, "C": None}, "'C'"),
     ({**FINITE, "claimed": [1, 2]}, "'claimed'"),
     ({**SVM, "entries": [1, 2]}, "'entries'"),
-    ({**FINITE, "seed": "abc"}, "'seed'"),
     ({**FINITE, "kernel": {"family": "rbf", "sigma": "abc"}}, "sigma"),
     ({**SVM, "alphas": [0.25]}, "alphas"),
     ({**SVM, "C": "inf"}, "C must be finite and positive"),
@@ -213,7 +212,7 @@ SVM = {"format_version": 1, "mechanism": "svm", "kernel": {"family": "linear"}, 
     ({**FINITE, "dim": 0, "weights": []}, "dim must be at least 1"),
     ({**RFF, "d_hat": 99}, "'d_hat'"),
 ], ids=["no-kernel", "no-weights", "kernel-no-family", "n-null", "C-null", "claimed-list",
-        "entries-1d", "seed-string", "sigma-string", "alphas-short", "svm-C-inf",
+        "entries-1d", "sigma-string", "alphas-short", "svm-C-inf",
         "lambda-nan", "n-negative", "dim-zero", "rff-d-hat-not-omega-rows"])
 def test_predict_model_missing_field_is_an_error_line(capsys, data_file, tmp_path, doc, field):
     model = tmp_path / "bad.json"
@@ -294,7 +293,7 @@ def test_private_train_finite_deterministic(capsys, data_file, tmp_path):
     capsys.readouterr()
     assert Path(out1).read_text() == Path(out2).read_text()
     model = load_model(out1)
-    assert model.seed == 7
+    assert not hasattr(model, "seed")
     assert "kappa" not in model.claimed
 
 
@@ -330,8 +329,9 @@ def assert_checksum_covers_the_rest(doc):
 
 
 def test_private_train_finite_release_holds_only_public_fields(capsys, tmp_path):
-    # every field of the written file is n, dim, the noisy weights, a flag,
-    # or re-derivable from --seed; no norm or bound taken from the data
+    # every field of the written file is n, dim, the noisy weights, a flag or
+    # a caller's claim; no norm or bound taken from the data, and not --seed,
+    # which would regenerate the noise
     data = write_public_fields_data(tmp_path)
     out_path = tmp_path / "finite.json"
     seed, C, lam = 11, 2.0, 0.3
@@ -343,13 +343,12 @@ def test_private_train_finite_release_holds_only_public_fields(capsys, tmp_path)
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert set(doc) == {"format_version", "mechanism", "kernel", "C", "lambda", "n", "dim",
-                        "seed", "claimed", "weights", "checksum"}
+                        "claimed", "weights", "checksum"}
     assert doc["format_version"] == 1
     assert doc["mechanism"] == "private_finite"
     assert doc["kernel"] == {"family": "linear"}
-    assert (doc["C"], doc["lambda"], doc["seed"]) == (C, lam, seed)
-    assert doc["claimed"] == {"beta": 1.5, "epsilon": 0.25, "delta": 0.05,
-                              "L": 1.0, "F": 3, "n": 20}
+    assert (doc["C"], doc["lambda"]) == (C, lam)
+    assert doc["claimed"] == {"beta": 1.5, "epsilon": 0.25, "delta": 0.05}
     assert (doc["n"], doc["dim"]) == (20, 3)
     # the noisy weights: this data's primal weights plus the first d Laplace
     # draws of default_rng(seed)
@@ -360,8 +359,9 @@ def test_private_train_finite_release_holds_only_public_fields(capsys, tmp_path)
 
 
 def test_private_train_rff_release_holds_only_public_fields(capsys, tmp_path):
-    # every field of the written file is n, dim, the noisy weights, a flag,
-    # or re-derivable from --seed; nothing else computed from the data
+    # every field of the written file is n, dim, the noisy weights, the map,
+    # a flag or a caller's claim; nothing else computed from the data, and
+    # not --seed, which would regenerate the noise
     data = write_public_fields_data(tmp_path)
     out_path = tmp_path / "rff.json"
     seed, d_hat, sigma, C, lam = 11, 6, 0.7, 2.0, 0.3
@@ -373,14 +373,13 @@ def test_private_train_rff_release_holds_only_public_fields(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert set(doc) == {"format_version", "mechanism", "kernel", "C", "lambda", "n", "dim",
-                        "seed", "d_hat", "omegas", "claimed", "weights", "checksum"}
+                        "d_hat", "omegas", "claimed", "weights", "checksum"}
     # constants and flags
     assert doc["format_version"] == 1
     assert doc["mechanism"] == "private_rff"
     assert doc["kernel"] == {"family": "rbf", "sigma": sigma}
-    assert (doc["C"], doc["lambda"], doc["seed"], doc["d_hat"]) == (C, lam, seed, d_hat)
-    assert doc["claimed"] == {"beta": 1.5, "epsilon": 0.25, "delta": 0.05,
-                              "L": 1.0, "d_hat": d_hat, "n": 20}
+    assert (doc["C"], doc["lambda"], doc["d_hat"]) == (C, lam, d_hat)
+    assert doc["claimed"] == {"beta": 1.5, "epsilon": 0.25, "delta": 0.05}
     # the sizes of the data
     assert (doc["n"], doc["dim"]) == (20, 3)
     # the map is the first d_hat spectral draws of default_rng(seed)

@@ -346,7 +346,6 @@ def test_lower_bounds_consistent():
 def test_claimed_metadata_is_stored():
     claimed = {"beta": 1.0, "L": 1.0, "kappa": 1.0, "F": 2, "n": 2}
     model = train_private_finite(
-        two_point_db(), 2.0, 0.1, np.random.default_rng(0), claimed=claimed, seed=0
+        two_point_db(), 2.0, 0.1, np.random.default_rng(0), claimed=claimed
     )
     assert model.claimed == claimed
-    assert model.seed == 0

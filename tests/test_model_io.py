@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -48,7 +49,7 @@ def test_linear_svm_doc_contains_weights(tmp_path):
 def test_private_finite_round_trip(tmp_path):
     db = sample_db(3)
     model = train_private_finite(
-        db, 1.0, 0.25, np.random.default_rng(9), claimed={"beta": 1.0}, seed=9
+        db, 1.0, 0.25, np.random.default_rng(9), claimed={"beta": 1.0}
     )
     path = tmp_path / "private.json"
     save_model(model, path)
@@ -56,7 +57,20 @@ def test_private_finite_round_trip(tmp_path):
     assert loaded == model
     assert np.array_equal(loaded.weights, model.weights)
     assert loaded.claimed == {"beta": 1.0}
-    assert loaded.seed == 9
+
+
+def test_release_with_a_stored_seed_still_loads(tmp_path):
+    # files written before releases stopped recording the noise seed carry
+    # a "seed" field; the reader reads named fields only and ignores it
+    model = train_private_finite(sample_db(3), 1.0, 0.25, np.random.default_rng(9))
+    doc = model_to_doc(model)
+    doc.pop("checksum")
+    doc["seed"] = 9
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    assert load_model(path) == model
 
 
 def test_private_finite_doc_must_name_linear_kernel():
@@ -73,7 +87,7 @@ def test_private_rff_round_trip(tmp_path):
     db = sample_db(4)
     model = train_private_rff(
         db, laplacian_kernel(), 1.0, 0.1, 12, np.random.default_rng(11),
-        claimed={"epsilon": 0.5, "delta": 0.1}, seed=11,
+        claimed={"epsilon": 0.5, "delta": 0.1},
     )
     path = tmp_path / "rff.json"
     save_model(model, path)
@@ -144,11 +158,11 @@ def saved_models():
         "svm_rbf": solve_svm_dual(db, rbf_kernel(0.9), 1.5),
         "svm_linear": solve_svm_dual(db, linear_kernel(), 2.0),
         "private_finite": train_private_finite(
-            db, 1.0, 0.25, np.random.default_rng(3), claimed={"beta": 1.0, "n": 12}, seed=3
+            db, 1.0, 0.25, np.random.default_rng(3), claimed={"beta": 1.0, "n": 12}
         ),
         "private_rff": train_private_rff(
             db, rbf_kernel(1.0), 1.0, 0.2, 6, np.random.default_rng(4),
-            claimed={"epsilon": 0.5, "delta": 0.1}, seed=4,
+            claimed={"epsilon": 0.5, "delta": 0.1},
         ),
     }
 
