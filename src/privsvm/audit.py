@@ -276,13 +276,13 @@ def utility_audit(
     weights, released minus reference is mu^T x, linear in x, so its sup over
     the box is attained at a corner and taken exactly, as
     max(sum_j max(mu_j lo_j, mu_j hi_j), -sum_j min(mu_j lo_j, mu_j hi_j)),
-    and `grid_resolution` is unused. For the rff mechanism a trial is a
-    `train_private_rff` run, evaluated by `grid_values` on a regular grid
-    over the box with `grid_resolution` points per axis. Either sup is taken
-    together with the gaps at the training points, so the hinge-risk
-    transfer check there (mean hinge gap <= sup gap, hinge being
-    1-Lipschitz) is exact. Passing means the failure fraction is at most
-    delta.
+    and `grid_resolution` is unused. For the rff mechanism a trial draws a map
+    and then a `train_private_rff` release's noise from one generator, evaluated
+    by `grid_values` on a grid over the box with `grid_resolution` points per
+    axis. Either sup is taken together with the gaps at the training points,
+    so the hinge-risk transfer check there (mean hinge gap <= sup gap, hinge
+    being 1-Lipschitz) is exact. Passing means the failure fraction is at
+    most delta.
     """
     # every KernelSpec but the linear one is translation-invariant
     if not isinstance(kernel, KernelSpec) or kernel.translation_invariant() != (d_hat is not None):
@@ -320,7 +320,8 @@ def utility_audit(
         ref_train = ref_vals[-db.n:]
 
         def released(rng):
-            model = train_private_rff(db, kernel, C, lam, d_hat, rng)
+            fmap = RandomFeatureMap.from_rng(kernel, db.dim, d_hat, rng)
+            model = train_private_rff(db, fmap, C, lam, rng)
             w = model.weights
             coeffs = (w[0::2] - 1j * w[1::2]) / math.sqrt(d_hat)
             vals = np.concatenate([

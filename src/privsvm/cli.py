@@ -9,11 +9,11 @@ Every domain constant (kappa, Phi, the diameter, the audits' grids and
 boxes) comes from the declared box --box-min/--box-max, default [-1, 1]^d,
 never from the data.
 
-Every randomized subcommand requires an explicit --seed. Reusing a seed
-makes runs reproducible for testing and auditing, but a released model must
-use fresh randomness: repeating noise across releases voids the privacy
-guarantee. A release file never records --seed, since the seed regenerates
-the noise and with it the noiseless weights.
+Release noise comes from np.random.default_rng(), seeded from the operating
+system's entropy, which nobody else can reproduce; a release file therefore
+cannot be reproduced. private-train-rff's required --seed seeds only the
+public feature map it writes. Every audit but separation requires --seed,
+and its reports are reproducible.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from . import audit as audit_mod
 from . import mechanisms, model_io
 from .data import DomainBox, load_csv, read_rows, split_labels
 from .kernels import KernelSpec, linear_kernel, spectral_second_moment
+from .rff import RandomFeatureMap
 from .solver import SvmModel, decision_values, solve_svm_dual
 
 _KERNEL_CHOICES = ("linear", "rbf", "laplacian", "cauchy")
@@ -76,9 +77,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_private_train_finite(args) -> int:
     db = load_csv(args.data, has_header=args.header)
-    rng = np.random.default_rng(args.seed)
     model = mechanisms.train_private_finite(
-        db, args.c, args.lam, rng, claimed=_claimed_from_args(args)
+        db, args.c, args.lam, np.random.default_rng(), claimed=_claimed_from_args(args)
     )
     model_io.save_model(model, args.out)
     print(json.dumps({"written": args.out, "n": db.n, "dim": db.dim}))
@@ -87,10 +87,10 @@ def _cmd_private_train_finite(args) -> int:
 
 def _cmd_private_train_rff(args) -> int:
     db = load_csv(args.data, has_header=args.header)
-    kernel = _kernel_from_args(args)
-    rng = np.random.default_rng(args.seed)
+    seeded = np.random.default_rng(args.seed)  # draws the public map, never the noise
+    fmap = RandomFeatureMap.from_rng(_kernel_from_args(args), db.dim, args.d_hat, seeded)
     model = mechanisms.train_private_rff(
-        db, kernel, args.c, args.lam, args.d_hat, rng, claimed=_claimed_from_args(args)
+        db, fmap, args.c, args.lam, np.random.default_rng(), claimed=_claimed_from_args(args)
     )
     model_io.save_model(model, args.out)
     print(json.dumps({"written": args.out, "n": db.n, "dim": db.dim, "d_hat": args.d_hat}))
@@ -203,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True)
         p.add_argument("--c", type=float, required=True)
         p.add_argument("--lambda", dest="lam", type=float, required=True)
-        p.add_argument("--seed", type=int, required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--header", action="store_true")
         p.add_argument("--beta", type=float, default=None, help="claimed privacy level")
@@ -230,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_release_flags(p)
     add_kernel_flags(p)
     p.add_argument("--d-hat", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, help="seeds the public feature map only")
     p.set_defaults(func=_cmd_private_train_rff)
 
     p = sub.add_parser("calibrate", help="compute the noise window for a target")

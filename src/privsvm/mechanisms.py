@@ -4,7 +4,7 @@ Two private mechanisms are provided, both output perturbations of the primal
 weight vector on a finite feature map:
 
 * `train_private_finite` uses the linear kernel's map phi(x) = x (F = d).
-* `train_private_rff` draws a random cosine/sine feature map for a
+* `train_private_rff` takes a random cosine/sine feature map drawn for a
   translation-invariant kernel (random features, Rahimi and Recht 2007) and
   releases the noisy weights together with the spectral vectors.
 
@@ -144,6 +144,8 @@ def _perturb(w, lam, rng) -> np.ndarray:
 
 def _release(db, fmap, C, lam, rng, claimed) -> PrivateModel:
     claimed = dict(claimed or {})
+    if unknown := sorted(set(claimed) - {"beta", "epsilon", "delta"}):
+        raise ValueError(f"claimed takes only beta, epsilon and delta, not {', '.join(unknown)}")
     _require_positive(lam=lam, **{k: claimed[k] for k in ("beta", "epsilon") if k in claimed})
     if "delta" in claimed and not 0 < claimed["delta"] < 1:
         raise ValueError("claimed delta must lie in (0, 1)")
@@ -164,24 +166,19 @@ def train_private_finite(
     """Train on the linear kernel's map phi(x) = x and release noisy weights.
 
     The released vector is sum_i a_i y_i x_i plus d i.i.d. Laplace(0, lam)
-    draws from `rng`.
+    draws from `rng`, which must be a generator nobody else can reproduce.
     """
     return _release(db, linear_kernel(), C, lam, rng, claimed)
 
 
 def train_private_rff(
-    db: Database, kernel: KernelSpec, C: float, lam: float, d_hat: int, rng,
-    claimed: dict | None = None,
+    db: Database, fmap: RandomFeatureMap, C: float, lam: float, rng, claimed: dict | None = None
 ) -> PrivateModel:
-    """Train in a random feature space and release noisy weights plus the map.
+    """Train on a drawn random feature map and release noisy weights plus the map.
 
-    Consumes `rng` in a fixed order: first the d_hat spectral vectors, then
-    the 2*d_hat Laplace noise scalars, so a fixed generator state determines
-    the whole response.
+    The weights get 2*d_hat Laplace(0, lam) draws from `rng`, which must be a
+    generator nobody else can reproduce; the public `fmap` may be seeded.
     """
-    if d_hat < 1:
-        raise ValueError("d_hat must be positive")
-    fmap = RandomFeatureMap.from_rng(kernel, db.dim, d_hat, rng)
     return _release(db, fmap, C, lam, rng, claimed)
 
 

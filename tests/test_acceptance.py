@@ -178,7 +178,8 @@ def test_release_contract_round_trip(tmp_path):
     rng = np.random.default_rng(111)
     db = Database(rng.uniform(-1, 1, (10, 2)), rng.choice([-1.0, 1.0], 10))
     finite = train_private_finite(db, 1.0, 0.3, np.random.default_rng(1))
-    rff = train_private_rff(db, rbf_kernel(1.0), 1.0, 0.3, 16, np.random.default_rng(2))
+    gen = np.random.default_rng(2)
+    rff = train_private_rff(db, RandomFeatureMap.from_rng(rbf_kernel(1.0), 2, 16, gen), 1.0, 0.3, gen)
     for name, model in (("finite", finite), ("rff", rff)):
         doc = model_to_doc(model)
         assert "alphas" not in doc

@@ -190,9 +190,9 @@ def test_utility_audit_rff_matches_pointwise_evaluation(eps):
     eval_points = np.vstack([box.grid(G), db.points])
     ref = decision_values(solve_svm_dual(db, kernel, C), eval_points)
     failures = sum(
-        np.max(np.abs(train_private_rff(db, kernel, C, lam, d_hat, child_rng(seed, t))
-                      .decision_values(eval_points) - ref)) > eps
-        for t in range(trials)
+        np.max(np.abs(train_private_rff(db, RandomFeatureMap.from_rng(kernel, db.dim, d_hat, g),
+                                        C, lam, g).decision_values(eval_points) - ref)) > eps
+        for g in (child_rng(seed, t) for t in range(trials))
     )
     assert 0 < failures < trials
     assert report.statistic == failures / trials

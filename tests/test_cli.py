@@ -17,12 +17,11 @@ from privsvm.mechanisms import (
     calibration_report_finite,
 )
 from privsvm.model_io import load_model, save_model
-from privsvm.mechanisms import PrivateModel
-from privsvm.data import Database, DomainBox, load_csv
+from privsvm.mechanisms import PrivateModel, noiseless_weights
+from privsvm.data import DomainBox, load_csv
 from privsvm.kernels import linear_kernel, rbf_kernel
 from privsvm.noise import sample_laplace
-from privsvm.rff import RandomFeatureMap, feature_matrix
-from privsvm.solver import primal_weights, solve_svm_dual
+from privsvm.rff import RandomFeatureMap
 
 TWO_POINT = "1.0,0.0,+1\n-1.0,0.0,-1\n"
 
@@ -102,8 +101,8 @@ def test_bad_label_is_computation_error(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["train", "--kernel", "linear", "--c", "inf"],
     ["train", "--kernel", "linear", "--c", "nan"],
-    ["private-train-finite", "--c", "inf", "--lambda", "0.1", "--seed", "1"],
-    ["private-train-finite", "--c", "1.0", "--lambda", "nan", "--seed", "1"],
+    ["private-train-finite", "--c", "inf", "--lambda", "0.1"],
+    ["private-train-finite", "--c", "1.0", "--lambda", "nan"],
     ["private-train-rff", "--kernel", "rbf", "--sigma", "1.0", "--c", "1.0",
      "--lambda", "inf", "--d-hat", "4", "--seed", "1"],
 ], ids=["train-c-inf", "train-c-nan", "finite-c-inf", "finite-lambda-nan", "rff-lambda-inf"])
@@ -149,7 +148,7 @@ def test_release_refuses_malformed_claim(capsys, data_file, tmp_path, claim, nam
     # a release used to write such a claim into `claimed` and exit 0
     out_path = tmp_path / "m.json"
     code, out, err = run(capsys, ["private-train-finite", "--data", data_file, "--c", "1.0",
-                                  "--lambda", "0.1", "--seed", "1", "--out", str(out_path)] + claim)
+                                  "--lambda", "0.1", "--out", str(out_path)] + claim)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -284,14 +283,17 @@ def test_predict_output_bytes(capsys, monkeypatch, tmp_path):
                    "0.3333333333333333 +1\n-1e+22 -1\n")
 
 
-def test_private_train_finite_deterministic(capsys, data_file, tmp_path):
+def test_private_train_finite_redraws_only_the_noise(capsys, data_file, tmp_path):
+    # each release draws fresh noise; every other field is a function of the
+    # data and the flags
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    base = ["private-train-finite", "--data", data_file, "--c", "2.0",
-            "--lambda", "0.1", "--seed", "7"]
+    base = ["private-train-finite", "--data", data_file, "--c", "2.0", "--lambda", "0.1"]
     assert main(base + ["--out", out1]) == 0
     assert main(base + ["--out", out2]) == 0
     capsys.readouterr()
-    assert Path(out1).read_text() == Path(out2).read_text()
+    doc1, doc2 = json.loads(Path(out1).read_text()), json.loads(Path(out2).read_text())
+    assert set(doc1) == set(doc2)
+    assert {k for k in doc1 if doc1[k] != doc2[k]} == {"weights", "checksum"}
     model = load_model(out1)
     assert not hasattr(model, "seed")
     assert "kappa" not in model.claimed
@@ -330,15 +332,13 @@ def assert_checksum_covers_the_rest(doc):
 
 def test_private_train_finite_release_holds_only_public_fields(capsys, tmp_path):
     # every field of the written file is n, dim, the noisy weights, a flag or
-    # a caller's claim; no norm or bound taken from the data, and not --seed,
-    # which would regenerate the noise
+    # a caller's claim; no norm or bound taken from the data
     data = write_public_fields_data(tmp_path)
     out_path = tmp_path / "finite.json"
-    seed, C, lam = 11, 2.0, 0.3
+    C, lam = 2.0, 0.3
     code, _, _ = run(capsys, [
         "private-train-finite", "--data", str(data), "--c", str(C), "--lambda", str(lam),
-        "--seed", str(seed), "--beta", "1.5", "--eps", "0.25", "--delta", "0.05",
-        "--out", str(out_path),
+        "--beta", "1.5", "--eps", "0.25", "--delta", "0.05", "--out", str(out_path),
     ])
     assert code == 0
     doc = json.loads(out_path.read_text())
@@ -350,18 +350,14 @@ def test_private_train_finite_release_holds_only_public_fields(capsys, tmp_path)
     assert (doc["C"], doc["lambda"]) == (C, lam)
     assert doc["claimed"] == {"beta": 1.5, "epsilon": 0.25, "delta": 0.05}
     assert (doc["n"], doc["dim"]) == (20, 3)
-    # the noisy weights: this data's primal weights plus the first d Laplace
-    # draws of default_rng(seed)
-    clean = primal_weights(solve_svm_dual(load_csv(str(data)), linear_kernel(), C))
-    noise = sample_laplace(lam, 3, np.random.default_rng(seed))
-    assert np.array_equal(np.array(doc["weights"]), clean + noise)
+    assert len(doc["weights"]) == 3
     assert_checksum_covers_the_rest(doc)
 
 
 def test_private_train_rff_release_holds_only_public_fields(capsys, tmp_path):
     # every field of the written file is n, dim, the noisy weights, the map,
     # a flag or a caller's claim; nothing else computed from the data, and
-    # not --seed, which would regenerate the noise
+    # not --seed
     data = write_public_fields_data(tmp_path)
     out_path = tmp_path / "rff.json"
     seed, d_hat, sigma, C, lam = 11, 6, 0.7, 2.0, 0.3
@@ -385,23 +381,64 @@ def test_private_train_rff_release_holds_only_public_fields(capsys, tmp_path):
     # the map is the first d_hat spectral draws of default_rng(seed)
     spectral = np.random.default_rng(seed).standard_normal((d_hat, 3)) / sigma
     assert np.array_equal(np.array(doc["omegas"]), spectral)
-    # the noisy weights: this data's primal weights plus the next 2*d_hat
-    # Laplace draws of the same generator
-    gen = np.random.default_rng(seed)
-    fmap = RandomFeatureMap.from_rng(rbf_kernel(sigma), 3, d_hat, gen)
-    db = load_csv(str(data))
-    phi = Database(feature_matrix(fmap, db.points), db.labels)
-    clean = primal_weights(solve_svm_dual(phi, linear_kernel(), C))
-    assert np.array_equal(np.array(doc["weights"]), clean + sample_laplace(lam, 2 * d_hat, gen))
+    assert len(doc["weights"]) == 2 * d_hat
     assert_checksum_covers_the_rest(doc)
 
 
+def seeds_that_redraw_the_noise(model, db, seeds, skip_map=lambda gen: None):
+    """The seeds s for which the Laplace draws of default_rng(s), taken after
+    `skip_map` has drawn a map from it, equal model's weights minus its
+    noiseless weights: each such s would give the noiseless weights back."""
+    noise = model.weights - noiseless_weights(db, model.feature_map, model.C)
+    found = []
+    for s in seeds:
+        gen = np.random.default_rng(s)
+        skip_map(gen)
+        if np.abs(sample_laplace(model.lam, noise.size, gen) - noise).max() <= 1e-9:
+            found.append(s)
+    return found
+
+
+def test_release_noise_is_not_drawn_from_the_seed(capsys, tmp_path):
+    # a search over --seed and every small seed finds no generator that
+    # redraws a CLI release's noise; --seed fixes the rff map alone
+    data = write_public_fields_data(tmp_path)
+    db = load_csv(str(data))
+    seed = 48213
+    seeds = [seed] + list(range(10**4 + 1))
+    common = ["--data", str(data), "--c", "2.0", "--lambda", "0.3"]
+    finite = tmp_path / "finite.json"
+    assert main(["private-train-finite"] + common + ["--out", str(finite)]) == 0
+    assert seeds_that_redraw_the_noise(load_model(finite), db, seeds) == []
+
+    outs = [tmp_path / "rff1.json", tmp_path / "rff2.json"]
+    for out in outs:
+        assert main(["private-train-rff"] + common + [
+            "--kernel", "rbf", "--sigma", "0.7", "--d-hat", "6", "--seed", str(seed),
+            "--out", str(out)]) == 0
+    capsys.readouterr()
+    a, b = (load_model(out) for out in outs)
+    assert np.array_equal(a.feature_map.omegas, b.feature_map.omegas)
+    assert not np.array_equal(a.weights, b.weights)
+    assert seeds_that_redraw_the_noise(
+        a, db, seeds, lambda gen: RandomFeatureMap.from_rng(rbf_kernel(0.7), 3, 6, gen)) == []
+
+
 def test_private_train_requires_seed(capsys, data_file, tmp_path):
+    # --seed seeds private-train-rff's public map; private-train-finite
+    # draws nothing public and takes no --seed
     code, _, _ = run(capsys, [
-        "private-train-finite", "--data", data_file, "--c", "1.0",
-        "--lambda", "0.1", "--out", str(tmp_path / "m.json"),
+        "private-train-rff", "--data", data_file, "--kernel", "rbf", "--sigma", "1.0",
+        "--c", "1.0", "--lambda", "0.1", "--d-hat", "4", "--out", str(tmp_path / "m.json"),
     ])
     assert code == 2
+    code, _, err = run(capsys, [
+        "private-train-finite", "--data", data_file, "--c", "1.0",
+        "--lambda", "0.1", "--seed", "1", "--out", str(tmp_path / "m.json"),
+    ])
+    assert code == 2
+    assert "--seed" in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_calibrate_rff_matches_library(capsys):
@@ -536,7 +573,7 @@ def test_audit_utility_via_cli(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["train", "--data", "MISSING", "--kernel", "linear", "--c", "1", "--out", "OUT"],
     ["private-train-finite", "--data", "MISSING", "--c", "1", "--lambda", "0.1",
-     "--seed", "1", "--out", "OUT"],
+     "--out", "OUT"],
     ["private-train-rff", "--data", "MISSING", "--kernel", "rbf", "--sigma", "1", "--c", "1",
      "--lambda", "0.1", "--d-hat", "4", "--seed", "1", "--out", "OUT"],
     ["audit", "--name", "utility", "--data", "MISSING", "--seed", "1", "--lambda", "0.1",

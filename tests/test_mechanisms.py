@@ -33,6 +33,11 @@ def two_point_db():
     return Database(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, -1.0]))
 
 
+def rff_release(db, kernel, C, lam, d_hat, rng):
+    # draws the map and then the noise from one generator, as utility_audit does
+    return train_private_rff(db, RandomFeatureMap.from_rng(kernel, db.dim, d_hat, rng), C, lam, rng)
+
+
 def _zero_noise(monkeypatch):
     monkeypatch.setattr(mechanisms, "_perturb", lambda w, lam, rng: np.array(w))
 
@@ -88,8 +93,8 @@ def test_private_finite_rejects_bad_lambda():
 
 def test_private_rff_deterministic_given_seed():
     db = two_point_db()
-    a = train_private_rff(db, rbf_kernel(1.0), 1.0, 0.2, 16, np.random.default_rng(5))
-    b = train_private_rff(db, rbf_kernel(1.0), 1.0, 0.2, 16, np.random.default_rng(5))
+    a = rff_release(db, rbf_kernel(1.0), 1.0, 0.2, 16, np.random.default_rng(5))
+    b = rff_release(db, rbf_kernel(1.0), 1.0, 0.2, 16, np.random.default_rng(5))
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.feature_map.omegas, b.feature_map.omegas)
     assert a.weights.shape == (32,)
@@ -99,7 +104,7 @@ def test_private_rff_zero_noise_releases_primal_weights(monkeypatch):
     _zero_noise(monkeypatch)
     rng = np.random.default_rng(41)
     db = Database(rng.uniform(-1, 1, (9, 2)), rng.choice([-1.0, 1.0], 9))
-    model = train_private_rff(db, rbf_kernel(0.8), 1.5, 0.1, 20, np.random.default_rng(3))
+    model = rff_release(db, rbf_kernel(0.8), 1.5, 0.1, 20, np.random.default_rng(3))
     phi = Database(feature_matrix(model.feature_map, db.points), db.labels)
     expected = primal_weights(solve_svm_dual(phi, linear_kernel(), 1.5))
     assert np.array_equal(model.weights, expected)
@@ -118,7 +123,7 @@ def test_private_rff_computes_the_feature_matrix_once(monkeypatch):
     monkeypatch.setattr(rff, "feature_matrix", counted)
     rng = np.random.default_rng(41)
     db = Database(rng.uniform(-1, 1, (9, 2)), rng.choice([-1.0, 1.0], 9))
-    train_private_rff(db, rbf_kernel(0.8), 1.5, 0.1, 20, np.random.default_rng(3))
+    rff_release(db, rbf_kernel(0.8), 1.5, 0.1, 20, np.random.default_rng(3))
     assert calls == [(9, 2)]
 
 
@@ -129,8 +134,8 @@ def test_private_rff_label_flip_negates_weights(monkeypatch):
     labels = rng.choice([-1.0, 1.0], 8)
     db = Database(points, labels)
     flipped = Database(points, -labels)
-    a = train_private_rff(db, rbf_kernel(1.0), 1.0, 0.1, 24, np.random.default_rng(7))
-    b = train_private_rff(flipped, rbf_kernel(1.0), 1.0, 0.1, 24, np.random.default_rng(7))
+    a = rff_release(db, rbf_kernel(1.0), 1.0, 0.1, 24, np.random.default_rng(7))
+    b = rff_release(flipped, rbf_kernel(1.0), 1.0, 0.1, 24, np.random.default_rng(7))
     assert np.allclose(a.weights, -b.weights, atol=1e-12)
 
 
@@ -144,20 +149,20 @@ def test_private_rff_weight_norm_bounded(monkeypatch):
         labels = rng.choice([-1.0, 1.0], 10)
         db = Database(points, labels)
         C = float(rng.uniform(0.5, 3.0))
-        model = train_private_rff(db, kernel, C, 0.1, 32, np.random.default_rng(rng.integers(2**32)))
+        model = rff_release(db, kernel, C, 0.1, 32, np.random.default_rng(rng.integers(2**32)))
         assert np.linalg.norm(model.weights) <= C + 1e-9
 
 
 def test_private_rff_rejects_linear_kernel():
     with pytest.raises(ValueError):
-        train_private_rff(two_point_db(), linear_kernel(), 1.0, 0.1, 8, np.random.default_rng(0))
+        rff_release(two_point_db(), linear_kernel(), 1.0, 0.1, 8, np.random.default_rng(0))
 
 
 def test_private_model_decisions():
     w = np.array([0.5, -2.0])
     model = PrivateModel(w, linear_kernel(), 1.0, 0.1, n=2, dim=2)
     assert model.decision_values(np.array([[2.0, 1.0]]))[0] == pytest.approx(-1.0)
-    rffm = train_private_rff(two_point_db(), rbf_kernel(1.0), 1.0, 0.1, 8, np.random.default_rng(1))
+    rffm = rff_release(two_point_db(), rbf_kernel(1.0), 1.0, 0.1, 8, np.random.default_rng(1))
     x = np.array([0.3, 0.4])
     phi = feature_matrix(rffm.feature_map, x[None, :])[0]
     value = rffm.decision_values(x[None, :])[0]
@@ -344,8 +349,20 @@ def test_lower_bounds_consistent():
 
 
 def test_claimed_metadata_is_stored():
-    claimed = {"beta": 1.0, "L": 1.0, "kappa": 1.0, "F": 2, "n": 2}
+    claimed = {"beta": 1.0, "epsilon": 0.5, "delta": 0.1}
     model = train_private_finite(
         two_point_db(), 2.0, 0.1, np.random.default_rng(0), claimed=claimed
     )
     assert model.claimed == claimed
+
+
+@pytest.mark.parametrize("key", ["seed", "n", "L"])
+def test_release_refuses_other_claimed_keys(key):
+    # a claim is beta, epsilon and delta only: a "seed" key would be written
+    # into the file and regenerate the noise
+    db, claimed = two_point_db(), {"beta": 1.0, key: 7}
+    fmap = RandomFeatureMap.from_rng(rbf_kernel(1.0), 2, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"not {key}$"):
+        train_private_finite(db, 1.0, 0.1, np.random.default_rng(0), claimed=claimed)
+    with pytest.raises(ValueError, match=f"not {key}$"):
+        train_private_rff(db, fmap, 1.0, 0.1, np.random.default_rng(0), claimed=claimed)

@@ -17,6 +17,7 @@ from privsvm.model_io import (
     model_to_doc,
     save_model,
 )
+from privsvm.rff import RandomFeatureMap
 from privsvm.solver import decision_values, solve_svm_dual
 
 
@@ -73,6 +74,22 @@ def test_release_with_a_stored_seed_still_loads(tmp_path):
     assert load_model(path) == model
 
 
+def test_release_with_other_claimed_keys_still_loads(tmp_path):
+    # files written before releases took only beta, epsilon and delta as a
+    # claim carry other keys there; loading does not re-check a claim
+    model = train_private_finite(sample_db(3), 1.0, 0.25, np.random.default_rng(9))
+    doc = model_to_doc(model)
+    doc.pop("checksum")
+    doc["claimed"] = {"beta": 1.0, "L": 1.0, "F": 2, "n": 8, "seed": 9}
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_model(path)
+    assert loaded.claimed == doc["claimed"]
+    assert np.array_equal(loaded.weights, model.weights)
+
+
 def test_private_finite_doc_must_name_linear_kernel():
     model = train_private_finite(sample_db(3), 1.0, 0.25, np.random.default_rng(9))
     doc = model_to_doc(model)
@@ -85,8 +102,9 @@ def test_private_finite_doc_must_name_linear_kernel():
 
 def test_private_rff_round_trip(tmp_path):
     db = sample_db(4)
+    gen = np.random.default_rng(11)
     model = train_private_rff(
-        db, laplacian_kernel(), 1.0, 0.1, 12, np.random.default_rng(11),
+        db, RandomFeatureMap.from_rng(laplacian_kernel(), 2, 12, gen), 1.0, 0.1, gen,
         claimed={"epsilon": 0.5, "delta": 0.1},
     )
     path = tmp_path / "rff.json"
@@ -102,7 +120,8 @@ def test_private_rff_round_trip(tmp_path):
 def test_private_docs_release_only_allowed_fields():
     db = sample_db(5)
     finite = train_private_finite(db, 1.0, 0.2, np.random.default_rng(0))
-    rff = train_private_rff(db, rbf_kernel(1.0), 1.0, 0.2, 8, np.random.default_rng(0))
+    gen = np.random.default_rng(0)
+    rff = train_private_rff(db, RandomFeatureMap.from_rng(rbf_kernel(1.0), 2, 8, gen), 1.0, 0.2, gen)
     for model in (finite, rff):
         doc = model_to_doc(model)
         text = json.dumps(doc)
@@ -154,14 +173,15 @@ def test_checksum_tamper_detected(tmp_path):
 
 def saved_models():
     db = sample_db(8, n=12)
+    gen = np.random.default_rng(4)
     return {
         "svm_rbf": solve_svm_dual(db, rbf_kernel(0.9), 1.5),
         "svm_linear": solve_svm_dual(db, linear_kernel(), 2.0),
         "private_finite": train_private_finite(
-            db, 1.0, 0.25, np.random.default_rng(3), claimed={"beta": 1.0, "n": 12}
+            db, 1.0, 0.25, np.random.default_rng(3), claimed={"beta": 1.0, "delta": 0.1}
         ),
         "private_rff": train_private_rff(
-            db, rbf_kernel(1.0), 1.0, 0.2, 6, np.random.default_rng(4),
+            db, RandomFeatureMap.from_rng(rbf_kernel(1.0), 2, 6, gen), 1.0, 0.2, gen,
             claimed={"epsilon": 0.5, "delta": 0.1},
         ),
     }
