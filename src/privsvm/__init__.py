@@ -73,7 +73,6 @@ from .solver import (
     ConvergenceError,
     SvmModel,
     decision_values,
-    kkt_residual,
     primal_weights,
     solve_svm_dual,
 )

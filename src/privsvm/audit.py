@@ -23,6 +23,7 @@ import numpy as np
 
 from . import kernels as _kernels
 from . import mechanisms as _mechanisms
+from ._checks import at_least, positive, probability
 from .data import Database, DomainBox, neighbor_replace_last
 from .kernels import (
     KernelSpec,
@@ -124,9 +125,8 @@ def linear_separation_pair(C: float, n: int, eps: float) -> LowerBoundFamily:
     label of the last point, placed at M - m with m = n eps / C. Closed-form
     optimal weights are attached for regression checks.
     """
-    _mechanisms._require_positive(C=C)
-    if n <= 1:
-        raise ValueError("n must exceed 1")
+    positive(C=C)
+    at_least(2, n=n)
     eps_cap = math.sqrt(C) / (2 * n)
     if not 0 < eps < eps_cap:
         raise ValueError(
@@ -169,11 +169,10 @@ def rbf_packing_family(C: float, n: int, sigma: float) -> LowerBoundFamily:
     sigma < sqrt(1/(2 ln 2)) so that the last dual coefficient is pinned at
     C/n and adjacent classifiers stay C/(2n) apart.
     """
-    _mechanisms._require_positive(C=C)
-    if n <= C:
+    positive(C=C)
+    at_least(2, n=n)
+    if not n > C:
         raise ValueError("n must exceed C")
-    if n <= 1:
-        raise ValueError("n must exceed 1")
     N = rbf_packing_size(sigma)
     databases = []
     for i in range(1, N + 1):
@@ -212,8 +211,8 @@ def sensitivity_audit(
     the largest point norm in the box; the bound always holds, so any
     observed violation is an implementation defect.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    at_least(1, trials=trials)
+    at_least(2, n=n)
     d = box.dim
     worst = 0.0
     for t in range(trials):
@@ -288,11 +287,9 @@ def utility_audit(
     if not isinstance(kernel, KernelSpec) or kernel.translation_invariant() != (d_hat is not None):
         raise ValueError("utility_audit takes linear_kernel() without d_hat (finite mechanism)"
                          " or a translation-invariant kernel with d_hat (rff mechanism)")
-    _mechanisms._require_positive(eps=eps)
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    positive(lam=lam, eps=eps)
+    probability(delta=delta)
+    at_least(1, trials=trials)
     _require_box(box, db.dim)
     y = db.labels
 
@@ -380,9 +377,8 @@ def kernel_approx_audit(
     """
     if not kernel.translation_invariant():
         raise UnsupportedKernelError("kernel approximation requires a translation-invariant kernel")
-    _mechanisms._require_positive(eps=eps)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    positive(eps=eps)
+    at_least(1, trials=trials)
     d = box.dim
     displacements = box.displacement_box()
     true_vals = _kernels.gram(kernel, displacements.grid(grid_resolution), np.zeros((1, d)))[:, 0]
@@ -454,11 +450,11 @@ def privacy_ratio_audit(
     """
     _require_neighbors(db1, db2)
     _require_box(box, db1.dim)
-    if trials < 1 or bins < 2:
-        raise ValueError("trials and bins must be positive (bins >= 2)")
+    at_least(1, trials=trials)
+    at_least(2, bins=bins)
     if not 0 <= coordinate_index < db1.dim:
         raise ValueError("coordinate_index out of range")
-    _mechanisms._require_positive(beta=beta)
+    positive(lam=lam, beta=beta)
 
     d = db1.dim
     samples = []

@@ -145,7 +145,26 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _validate_audit_args(args) -> None:
+    if args.name != "separation" and args.seed is None:
+        raise _UsageError(f"audit --name {args.name} is randomized and requires --seed")
+    needs = {
+        "utility": ("data", "lam", "eps", "delta"),
+        "kernel-approx": ("d_hat", "eps"),
+        "privacy-ratio": ("data", "data2", "lam", "beta"),
+        "separation": ("sigma",),
+    }.get(args.name, ())
+    if args.name == "utility" and args.mechanism == "rff":
+        needs += ("d_hat",)
+    flag_names = {"lam": "--lambda", "d_hat": "--d-hat"}
+    for field in needs:
+        if getattr(args, field) is None:
+            flag = flag_names.get(field, "--" + field)
+            raise _UsageError(f"audit --name {args.name} requires {flag}")
+
+
 def _cmd_audit(args) -> int:
+    _validate_audit_args(args)
     name = args.name
     if name == "sensitivity":
         box = _box_from_args(args, args.dim)
@@ -284,32 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_audit_args(parser, args) -> None:
-    if args.command != "audit":
-        return
-    randomized = args.name != "separation"
-    if randomized and args.seed is None:
-        parser.error(f"audit --name {args.name} is randomized and requires --seed")
-    needs = {
-        "utility": ("data", "lam", "eps", "delta"),
-        "kernel-approx": ("d_hat", "eps"),
-        "privacy-ratio": ("data", "data2", "lam", "beta"),
-        "separation": ("sigma",),
-    }.get(args.name, ())
-    if args.name == "utility" and args.mechanism == "rff":
-        needs += ("d_hat",)
-    flag_names = {"lam": "--lambda", "d_hat": "--d-hat"}
-    for field in needs:
-        if getattr(args, field) is None:
-            flag = flag_names.get(field, "--" + field)
-            parser.error(f"audit --name {args.name} requires {flag}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _validate_audit_args(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import at_least
+
 __all__ = [
     "CsvError",
     "Database",
@@ -49,8 +51,7 @@ class Database:
             raise ValueError("points must be an (n, d) array")
         if labels.shape != (points.shape[0],):
             raise ValueError("labels must be a length-n vector")
-        if points.shape[0] <= 1:
-            raise ValueError("a database needs more than one entry")
+        at_least(2, n=points.shape[0])
         if not np.all(np.isfinite(points)):
             raise ValueError("points must have finite entries")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -88,8 +89,7 @@ class DomainBox:
         upper = _frozen_array(self.upper)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("bounds must be 1-D vectors of equal length")
-        if lower.size < 1:
-            raise ValueError("box dimension must be at least 1")
+        at_least(1, **{"box dimension": lower.size})
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ValueError("bounds must be finite")
         if np.any(lower > upper):
@@ -115,8 +115,7 @@ class DomainBox:
 
     def grid(self, resolution: int) -> np.ndarray:
         """Regular grid with `resolution` points per axis, shape (resolution^d, d)."""
-        if resolution < 2:
-            raise ValueError("grid resolution must be at least 2")
+        at_least(2, **{"grid resolution": resolution})
         axes = [
             np.linspace(self.lower[i], self.upper[i], resolution)
             for i in range(self.dim)
@@ -128,13 +127,6 @@ class DomainBox:
         """Box of pairwise differences x - y for x, y in this box."""
         span = self.upper - self.lower
         return DomainBox(-span, span)
-
-    def __eq__(self, other):
-        if not isinstance(other, DomainBox):
-            return NotImplemented
-        return np.array_equal(self.lower, other.lower) and np.array_equal(
-            self.upper, other.upper
-        )
 
 
 def read_rows(source, has_header: bool = False) -> tuple[np.ndarray, list[int]]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import at_least
 from .noise import sample_laplace
 
 __all__ = [
@@ -154,8 +155,7 @@ def sample_spectral(k: KernelSpec, d: int, count: int, rng) -> np.ndarray:
     Cauchy via tan(pi (u - 1/2)); cauchy draws Laplace(0, 1) via the inverse
     CDF. Shape of the result is (count, d).
     """
-    if d < 1 or count < 1:
-        raise ValueError("d and count must be positive")
+    at_least(1, d=d, count=count)
     if k.family == RBF:
         return rng.standard_normal((count, d)) / k.sigma
     if k.family == LAPLACIAN:
@@ -169,8 +169,7 @@ def sample_spectral(k: KernelSpec, d: int, count: int, rng) -> np.ndarray:
 
 def spectral_second_moment(k: KernelSpec, d: int) -> float:
     """E[<w, w>] under the spectral density of k; inf when the moment diverges."""
-    if d < 1:
-        raise ValueError("d must be positive")
+    at_least(1, d=d)
     if k.family == RBF:
         return d / k.sigma**2
     if k.family == LAPLACIAN:

@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import noise, rff
+from ._checks import as_points, at_least, positive, probability
 from .data import Database
 from .kernels import KernelSpec, linear_kernel
 from .rff import RandomFeatureMap, calibrate_rff_dim
-from .solver import as_points, primal_weights, solve_svm_dual
+from .solver import primal_weights, solve_svm_dual
 
 __all__ = [
     "PrivateModel",
@@ -82,11 +83,9 @@ class PrivateModel:
     def __post_init__(self):
         weights = np.array(self.weights, dtype=np.float64)
         weights.setflags(write=False)
-        _require_positive(C=self.C, lam=self.lam)
-        if not self.n >= 2:
-            raise ValueError("n must be at least 2: a database has more than one entry")
-        if not self.dim >= 1:
-            raise ValueError("dim must be at least 1")
+        positive(C=self.C, lam=self.lam)
+        at_least(2, n=self.n)
+        at_least(1, dim=self.dim)
         if isinstance(self.feature_map, RandomFeatureMap):
             if self.feature_map.dim != self.dim:
                 raise ValueError(
@@ -146,9 +145,9 @@ def _release(db, fmap, C, lam, rng, claimed) -> PrivateModel:
     claimed = dict(claimed or {})
     if unknown := sorted(set(claimed) - {"beta", "epsilon", "delta"}):
         raise ValueError(f"claimed takes only beta, epsilon and delta, not {', '.join(unknown)}")
-    _require_positive(lam=lam, **{k: claimed[k] for k in ("beta", "epsilon") if k in claimed})
-    if "delta" in claimed and not 0 < claimed["delta"] < 1:
-        raise ValueError("claimed delta must lie in (0, 1)")
+    positive(lam=lam, **{k: claimed[k] for k in ("beta", "epsilon") if k in claimed})
+    if "delta" in claimed:
+        probability(delta=claimed["delta"])
     return PrivateModel(
         weights=_perturb(noiseless_weights(db, fmap, C), lam, rng),
         feature_map=fmap,
@@ -182,28 +181,20 @@ def train_private_rff(
     return _release(db, fmap, C, lam, rng, claimed)
 
 
-def _require_positive(**values):
-    for name, v in values.items():
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be finite and positive")
-
-
 def sensitivity_finite(C: float, kappa: float, F: int, n: int) -> float:
     """Bound 4 L C kappa sqrt(F) / n on |w - w'|_1 for neighbouring databases
     of size n, on an F-dimensional map with sqrt(k(x, x)) <= kappa; the hinge
     loss is 1-Lipschitz, so L = 1."""
-    _require_positive(C=C, kappa=kappa, F=F)
-    if n <= 1:
-        raise ValueError("n must exceed 1")
+    positive(C=C, kappa=kappa, F=F)
+    at_least(2, n=n)
     return 4.0 * C * kappa * math.sqrt(F) / n
 
 
 def sensitivity_rff(C: float, d_hat: int, n: int) -> float:
     """l1 sensitivity 2^2.5 L C sqrt(d_hat) / n (L = 1) of the random-feature
     weights; the map has unit norm and 2*d_hat coordinates, hence the 2^2.5."""
-    _require_positive(C=C, d_hat=d_hat)
-    if n <= 1:
-        raise ValueError("n must exceed 1")
+    positive(C=C, d_hat=d_hat)
+    at_least(2, n=n)
     return 2.0**2.5 * C * math.sqrt(d_hat) / n
 
 
@@ -220,14 +211,14 @@ def rbf_packing_size(sigma: float) -> int:
 def calibrate_noise_privacy_finite(C: float, kappa: float, F: int, beta: float, n: int) -> float:
     """Smallest noise scale giving beta-privacy on an F-dimensional map:
     `sensitivity_finite(C, kappa, F, n) / beta`."""
-    _require_positive(beta=beta)
+    positive(beta=beta)
     return sensitivity_finite(C, kappa, F, n) / beta
 
 
 def calibrate_noise_privacy_rff(C: float, d_hat: int, beta: float, n: int) -> float:
     """Smallest noise scale giving beta-privacy for the random-feature
     mechanism: `sensitivity_rff(C, d_hat, n) / beta`."""
-    _require_positive(beta=beta)
+    positive(beta=beta)
     return sensitivity_rff(C, d_hat, n) / beta
 
 
@@ -237,9 +228,8 @@ def calibrate_noise_utility_finite(eps: float, delta: float, Phi: float, F: int)
     eps / (2 Phi (F ln 2 + ln(1/delta))), with Phi a bound on the coordinate
     magnitude of the feature map over the domain.
     """
-    _require_positive(eps=eps, Phi=Phi, F=F)
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    positive(eps=eps, Phi=Phi, F=F)
+    probability(delta=delta)
     return eps / (2.0 * Phi * (F * math.log(2.0) + math.log(1.0 / delta)))
 
 
@@ -247,9 +237,8 @@ def calibrate_noise_utility_rff(eps: float, delta: float, d_hat: int) -> float:
     """Largest noise scale keeping the random-feature release close to its
     own noiseless weights: min{eps / (2^4 ln2 sqrt(d_hat)),
     eps sqrt(d_hat) / (8 ln(2/delta))}."""
-    _require_positive(eps=eps, d_hat=d_hat)
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    positive(eps=eps, d_hat=d_hat)
+    probability(delta=delta)
     root = math.sqrt(d_hat)
     return min(
         eps / (2.0**4 * math.log(2.0) * root),
@@ -269,9 +258,8 @@ def calibrate_rff_dim_hinge(
     this is `calibrate_rff_dim(sqrt(theta), delta / 2, d, sigma_p, diam)`,
     ceil((4 (d+2) / theta) * ln(2^9 (sigma_p diam)^2 / (delta theta))).
     """
-    _require_positive(eps=eps, C=C)
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    positive(eps=eps, C=C)
+    probability(delta=delta)
     theta = min(1.0, eps**4 / (2.0**12 * C**4))
     return calibrate_rff_dim(math.sqrt(theta), delta / 2, d, sigma_p, diam)
 
@@ -337,8 +325,7 @@ def calibration_report_rff(
 def optimal_dp_lower_bound_linear(delta: float) -> float:
     """No (eps, delta)-accurate mechanism for the linear-kernel hinge SVM can
     beat privacy level ln((1 - delta) / delta)."""
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    probability(delta=delta)
     return math.log((1.0 - delta) / delta)
 
 
@@ -347,7 +334,6 @@ def optimal_dp_lower_bound_rbf(delta: float, sigma: float) -> tuple[int, float]:
 
     Returns (N, ln((1 - delta) (N - 1) / delta)) with N = rbf_packing_size(sigma).
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    probability(delta=delta)
     N = rbf_packing_size(sigma)
     return N, math.log((1.0 - delta) * (N - 1) / delta)

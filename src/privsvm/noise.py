@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from ._checks import at_least, positive
+
 __all__ = ["sample_laplace", "erlang_tail_probability"]
 
 
@@ -22,10 +24,8 @@ def sample_laplace(scale: float, count: int, rng) -> np.ndarray:
     redrawn from the same generator, in index order. Every other draw, and
     the stream consumed when no redraw is needed, are unchanged.
     """
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError("scale must be finite and positive")
-    if count < 1:
-        raise ValueError("count must be positive")
+    positive(scale=scale)
+    at_least(1, count=count)
     u = rng.random(count) - 0.5
     edge = np.flatnonzero(u == -0.5)
     while edge.size:
@@ -40,12 +40,11 @@ def erlang_tail_probability(q: int, scale: float, threshold: float) -> float:
     The upper tail is exp(-x/scale) * sum_{j=0}^{q-1} (x/scale)^j / j!,
     evaluated in log space for stability.
     """
-    if q < 1 or int(q) != q:
-        raise ValueError("q must be a positive integer")
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError("scale must be finite and positive")
-    if not threshold >= 0:
-        raise ValueError("threshold must be nonnegative")
+    at_least(1, q=q)
+    if not float(q).is_integer():
+        raise ValueError("q must be an integer")
+    positive(scale=scale)
+    at_least(0, threshold=threshold)
     x = threshold / scale
     if x == 0.0:
         return 1.0

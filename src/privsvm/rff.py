@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import as_points, at_least, positive, probability
 from .kernels import KernelSpec, sample_spectral
 
 __all__ = [
@@ -78,9 +79,7 @@ class RandomFeatureMap:
 def feature_matrix(m: RandomFeatureMap, X: np.ndarray) -> np.ndarray:
     """Row-wise feature vectors for an (n, d) array of points: cos/sin pairs,
     unit norm, in a fresh array."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != m.dim:
-        raise ValueError("points must be an (n, d) array matching the map dimension")
+    X = as_points(X, m.dim)
     z = X @ m.omegas.T
     # Formed after cos and sin, the result lies above their freed space, which
     # can then take a Database's copy of it instead of new memory.
@@ -131,8 +130,7 @@ def grid_values(m: RandomFeatureMap, coeffs, box, resolution: int) -> np.ndarray
     multiplied out into a (resolution^(d-1), d_hat) array and the last axis is
     contracted against it in one complex matrix product.
     """
-    if resolution < 2:
-        raise ValueError("grid resolution must be at least 2")
+    at_least(2, **{"grid resolution": resolution})
     if box.dim != m.dim:
         raise ValueError("box dimension must match the map dimension")
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -163,14 +161,9 @@ def calibrate_rff_dim(eps: float, delta: float, d: int, sigma_p: float, diam: fl
     is the spectral second moment and diam the diameter of the domain. Fails
     for kernels whose spectral second moment diverges.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("eps must be finite and positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    if d < 1:
-        raise ValueError("d must be positive")
-    if not (math.isfinite(diam) and diam > 0):
-        raise ValueError("diam must be finite and positive")
+    positive(eps=eps, diam=diam)
+    probability(delta=delta)
+    at_least(1, d=d)
     if not math.isfinite(sigma_p) or sigma_p <= 0:
         raise CalibrationError(
             "spectral second moment is not finite; choose d_hat manually"

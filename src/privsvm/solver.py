@@ -29,12 +29,12 @@ as random features, is trained as the linear kernel on its feature matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
+from ._checks import as_points, at_least, positive
 from .data import Database
 from .kernels import KernelSpec
 
@@ -42,7 +42,6 @@ __all__ = [
     "ConvergenceError",
     "SvmModel",
     "solve_svm_dual",
-    "kkt_residual",
     "primal_weights",
     "decision_values",
 ]
@@ -59,14 +58,6 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
         self.objective = objective
         self.sweeps = sweeps
-
-
-def as_points(X, dim: int) -> np.ndarray:
-    """X as an (m, dim) float array; ValueError for any other shape."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != dim:
-        raise ValueError(f"points must be an (m, {dim}) array, got shape {X.shape}")
-    return X
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +80,7 @@ class SvmModel:
                 f"alphas must have one entry per support example, shape ({self.support.n},);"
                 f" got shape {alphas.shape}"
             )
-        if not (math.isfinite(self.C) and self.C > 0):
-            raise ValueError("C must be finite and positive")
+        positive(C=self.C)
         alphas.setflags(write=False)
         object.__setattr__(self, "alphas", alphas)
 
@@ -119,15 +109,6 @@ def _kkt_state(alphas: np.ndarray, grad: np.ndarray, upper: float):
     pg = np.where(at_lower, np.maximum(grad, 0.0), np.where(at_upper, np.minimum(grad, 0.0), grad))
     movable = np.flatnonzero((pg != 0.0) | ~(at_lower | at_upper))
     return float(np.max(np.abs(pg), initial=0.0)), movable
-
-
-def kkt_residual(alphas: np.ndarray, grad: np.ndarray, upper: float) -> float:
-    """Largest first-order violation of the box-constrained maximization.
-
-    With g_i the dual gradient: interior coordinates need |g_i| small, the
-    lower-active need g_i <= 0, the upper-active need g_i >= 0.
-    """
-    return _kkt_state(alphas, grad, upper)[0]
 
 
 def _face_step(Q, alphas, q, free, upper) -> bool:
@@ -200,10 +181,8 @@ def solve_svm_dual(
     if not isinstance(kernel, KernelSpec):
         raise ValueError("kernel must be a KernelSpec; for a random feature map,"
                          " solve linear_kernel() on feature_matrix(map, X)")
-    if not (math.isfinite(C) and C > 0):
-        raise ValueError("C must be finite and positive")
-    if not tol > 0 or max_sweeps < 1:
-        raise ValueError("tol and max_sweeps must be positive")
+    positive(C=C, tol=tol)
+    at_least(1, max_sweeps=max_sweeps)
     n = db.n
     y = db.labels
     # The Gram is exactly symmetric, so its transpose is Q's column-major
@@ -252,7 +231,7 @@ def solve_svm_dual(
     converged = residual <= tol
     q = Q @ alphas
     objective = float(alphas.sum() - 0.5 * (alphas @ q))
-    residual = kkt_residual(alphas, 1.0 - q, upper)
+    residual = _kkt_state(alphas, 1.0 - q, upper)[0]
     if not converged:
         raise ConvergenceError(
             f"no convergence after {max_sweeps} sweeps (residual {residual:.3e})",

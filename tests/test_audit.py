@@ -18,7 +18,7 @@ from privsvm.audit import (
     utility_audit,
 )
 from privsvm.data import Database, DomainBox, neighbor_replace_last
-from privsvm.kernels import linear_kernel, rbf_kernel
+from privsvm.kernels import UnsupportedKernelError, linear_kernel, rbf_kernel
 from privsvm.mechanisms import (
     calibrate_noise_privacy_finite,
     optimal_dp_lower_bound_rbf,
@@ -246,6 +246,11 @@ def test_utility_audit_rejects_bad_eps():
         utility_audit(fixed_db(), linear_kernel(), 1.0, 0.1, 0.5, 1.5, 5, None, 1, unit_box())
 
 
+def test_kernel_approx_audit_rejects_linear_kernel():
+    with pytest.raises(UnsupportedKernelError, match="translation-invariant"):
+        kernel_approx_audit(linear_kernel(), 4, unit_box(1), 0.5, 2, 5, seed=1)
+
+
 def test_kernel_approx_audit_vacuous_eps():
     report = kernel_approx_audit(rbf_kernel(1.0), 1, unit_box(1), 2.0, 20, 21, seed=8)
     assert report.statistic == 0.0  # |khat - k| <= 2 always
@@ -323,6 +328,26 @@ def test_privacy_ratio_rejects_non_neighbors():
     b = Database(rng.uniform(-1, 1, (5, 2)), rng.choice([-1.0, 1.0], 5))
     with pytest.raises(ValueError, match="neighbors"):
         privacy_ratio_audit(a, b, 1.0, 0.1, 1.0, 100, 10, 0, 0, unit_box())
+    shorter = Database(a.points[1:], a.labels[1:])
+    with pytest.raises(ValueError, match="share size"):
+        privacy_ratio_audit(a, shorter, 1.0, 0.1, 1.0, 100, 10, 0, 0, unit_box())
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_privacy_ratio_rejects_coordinate_out_of_range(index):
+    db = fixed_db(n=6)
+    with pytest.raises(ValueError, match="coordinate_index"):
+        privacy_ratio_audit(db, db, 1.0, 0.1, 1.0, 100, 10, index, 0, unit_box())
+
+
+def test_privacy_ratio_without_qualifying_bins_fails():
+    # 30 draws over 10 bins cannot put 20 from each side into one bin
+    db = fixed_db(n=6)
+    report = privacy_ratio_audit(db, db, 1.0, 0.1, 1.0, 30, 10, 0, 0, unit_box())
+    assert math.isnan(report.statistic)
+    assert not report.passed
+    assert report.details["qualifying_bins"] == 0
+    assert "no bin" in report.details["reason"]
 
 
 def test_default_grid_resolution():

@@ -82,6 +82,26 @@ def test_train_rbf_requires_sigma(capsys, data_file, tmp_path):
     assert "sigma" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--data", "DATA", "--kernel", "linear", "--sigma", "1.0", "--c", "1.0",
+      "--out", "OUT"], "--sigma only applies to the rbf kernel"),
+    (["bounds", "--lower", "rbf", "--delta", "0.05"], "--lower rbf requires --sigma"),
+    (["audit", "--name", "sensitivity", "--trials", "5"],
+     "audit --name sensitivity is randomized and requires --seed"),
+    (["audit", "--name", "kernel-approx", "--seed", "1", "--sigma", "1.0", "--eps", "0.5"],
+     "audit --name kernel-approx requires --d-hat"),
+], ids=["sigma-with-linear", "bounds-rbf-no-sigma", "audit-no-seed", "audit-no-d-hat"])
+def test_missing_or_misplaced_flag_is_one_usage_error_line(capsys, data_file, tmp_path, argv,
+                                                           message):
+    out_path = tmp_path / "m.json"
+    argv = [{"OUT": str(out_path), "DATA": data_file}.get(a, a) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
 def test_unknown_flag_is_usage_error(capsys, data_file):
     code, _, _ = run(capsys, ["train", "--data", data_file, "--nope"])
     assert code == 2
@@ -231,6 +251,20 @@ def test_predict_accepts_labeled_rows(capsys, data_file, tmp_path):
     code, out, _ = run(capsys, ["predict", "--model", model_path, "--data", data_file])
     assert code == 0
     assert len(out.strip().splitlines()) == 2
+
+
+def test_predict_without_data_rows_is_an_error_line(capsys, data_file, tmp_path):
+    model_path = str(tmp_path / "model.json")
+    assert main(["train", "--data", data_file, "--kernel", "linear",
+                 "--c", "2.0", "--out", model_path]) == 0
+    capsys.readouterr()
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("x1,x2\n")
+    code, out, err = run(capsys, ["predict", "--model", model_path, "--data",
+                                  str(header_only), "--header"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: no data rows to predict on\n"
 
 
 def test_predict_reads_quoted_fields_like_train(capsys, tmp_path):

@@ -49,28 +49,51 @@ def _unit_box(d):
 
 @pytest.mark.parametrize("call, name", [
     (lambda: privsvm.sensitivity_finite(math.nan, 1.0, 2, 10), "C"),
+    (lambda: privsvm.sensitivity_finite(1.0, 1.0, 2, math.nan), "n"),
+    (lambda: privsvm.sensitivity_rff(1.0, 10, math.nan), "n"),
     (lambda: privsvm.calibrate_noise_privacy_finite(1.0, 1.0, 2, math.nan, 10), "beta"),
     (lambda: privsvm.solve_svm_dual(_two_points(), privsvm.linear_kernel(), 1.0,
                                     tol=math.nan, max_sweeps=20000), "tol"),
+    (lambda: privsvm.solve_svm_dual(_two_points(), privsvm.linear_kernel(), 1.0,
+                                    max_sweeps=math.nan), "max_sweeps"),
+    (lambda: privsvm.sensitivity_audit(math.nan, 10, 1.0, _unit_box(2), 1), "trials"),
     (lambda: privsvm.sample_laplace(math.nan, 3, np.random.default_rng(0)), "scale"),
+    (lambda: privsvm.sample_laplace(1.0, math.nan, np.random.default_rng(0)), "count"),
     (lambda: privsvm.erlang_tail_probability(2, math.nan, 1.0), "scale"),
     (lambda: privsvm.erlang_tail_probability(2, 1.0, math.nan), "threshold"),
     (lambda: privsvm.calibrate_rff_dim(math.nan, 0.1, 1, 1.0, 2.0), "eps"),
     (lambda: privsvm.calibrate_rff_dim(0.5, 0.1, 1, 1.0, math.nan), "diam"),
+    (lambda: privsvm.calibrate_rff_dim(0.5, 0.1, math.nan, 1.0, 2.0), "d"),
     (lambda: privsvm.linear_separation_pair(math.nan, 10, 0.01), "C"),
     (lambda: privsvm.rbf_packing_family(math.nan, 8, 0.3), "C"),
+    (lambda: privsvm.rbf_packing_family(1.0, math.nan, 0.3), "n"),
     (lambda: privsvm.kernel_approx_audit(privsvm.rbf_kernel(1.0), 4, _unit_box(1), math.nan,
                                          2, 5, 1), "eps"),
     (lambda: privsvm.privacy_ratio_audit(_two_points(), _two_points(), 1.0, 0.1, math.nan,
                                          10, 2, 0, 1, _unit_box(2)), "beta"),
-], ids=["sensitivity-C", "privacy-beta", "solver-tol", "laplace-scale", "erlang-scale",
-        "erlang-threshold", "rff-dim-eps", "rff-dim-diam", "linear-pair-C", "packing-C",
-        "kernel-approx-eps", "privacy-ratio-beta"])
+    (lambda: privsvm.privacy_ratio_audit(_two_points(), _two_points(), 1.0, math.nan, 1.0,
+                                         10, 2, 0, 1, _unit_box(2)), "lam"),
+    (lambda: privsvm.utility_audit(_two_points(), privsvm.linear_kernel(), 1.0, math.nan, 0.5,
+                                   0.1, 2, None, 1, _unit_box(2)), "lam"),
+], ids=["sensitivity-C", "sensitivity-n", "sensitivity-rff-n", "privacy-beta", "solver-tol",
+        "solver-max-sweeps", "sensitivity-audit-trials", "laplace-scale", "laplace-count",
+        "erlang-scale", "erlang-threshold", "rff-dim-eps", "rff-dim-diam", "rff-dim-d",
+        "linear-pair-C", "packing-C", "packing-n", "kernel-approx-eps", "privacy-ratio-beta",
+        "privacy-ratio-lam", "utility-lam"])
 def test_nan_parameter_is_rejected(call, name):
     # NaN passes every check written as x <= 0; each entry point must refuse
     # it up front, not run on (the solver used to sweep to its limit)
     with pytest.raises(ValueError, match=f"^{name} "):
         call()
+
+
+def test_each_parameter_rule_is_written_once():
+    # every entry point calls privsvm._checks instead of restating a rule,
+    # so no copy can drift from its NaN-safe definition
+    texts = ("must be finite and positive", "must lie in (0, 1)", "must be at least")
+    sources = sorted(Path(privsvm.__file__).parent.glob("*.py"))
+    where = {t: [p.name for p in sources if t in p.read_text()] for t in texts}
+    assert where == {t: ["_checks.py"] for t in texts}
 
 
 def test_benchmark_span_targets_resolve(monkeypatch):

@@ -11,8 +11,8 @@ from privsvm.rff import RandomFeatureMap, feature_matrix
 from privsvm.solver import (
     _DEGENERATE_DIAG,
     ConvergenceError,
+    _kkt_state,
     decision_values,
-    kkt_residual,
     primal_weights,
     solve_svm_dual,
 )
@@ -374,16 +374,16 @@ def test_kkt_residual_matches_mask_definition():
     for _ in range(200):
         alphas = rng.choice([0.0, 0.5, 0.999, 1.0], 9)
         grad = rng.choice([-1.0, 0.0, 1.0], 9) * rng.uniform(0, 2, 9)
-        assert kkt_residual(alphas, grad, 1.0) == mask_residual(alphas, grad, 1.0)
+        assert _kkt_state(alphas, grad, 1.0)[0] == mask_residual(alphas, grad, 1.0)
 
 
 def test_kkt_residual_directionality():
     alphas = np.array([0.0, 0.5, 1.0])
     grad = np.array([-0.3, 0.0, 0.2])
-    assert kkt_residual(alphas, grad, 1.0) == 0.0
-    assert kkt_residual(np.array([0.0, 0.5, 1.0]), np.array([0.3, 0.0, 0.2]), 1.0) == pytest.approx(0.3)
-    assert kkt_residual(np.array([0.0, 0.5, 1.0]), np.array([-0.3, 0.0, -0.2]), 1.0) == pytest.approx(0.2)
-    assert kkt_residual(np.array([0.0, 0.6, 1.0]), np.array([-0.3, -0.05, 0.2]), 1.0) == pytest.approx(0.05)
+    assert _kkt_state(alphas, grad, 1.0)[0] == 0.0
+    assert _kkt_state(np.array([0.0, 0.5, 1.0]), np.array([0.3, 0.0, 0.2]), 1.0)[0] == pytest.approx(0.3)
+    assert _kkt_state(np.array([0.0, 0.5, 1.0]), np.array([-0.3, 0.0, -0.2]), 1.0)[0] == pytest.approx(0.2)
+    assert _kkt_state(np.array([0.0, 0.6, 1.0]), np.array([-0.3, -0.05, 0.2]), 1.0)[0] == pytest.approx(0.05)
 
 
 def test_invalid_parameters():
