@@ -2,11 +2,14 @@
 
 Each audit is a pure function of its configuration and a 64-bit base seed:
 trial t draws from a generator seeded with mix64(base_seed, t), so trials
-never share state and reports are reproducible bit for bit. Statistical
-audits of proved guarantees must pass (up to documented Monte-Carlo slack);
-a failure indicates an implementation defect. The privacy-ratio audit is the
-one exception: finite samples cannot certify a density-ratio bound, so it is
-a smoke test with an explicit heuristic slack, never a proof.
+never share state and reports are reproducible bit for bit. Two audits draw
+otherwise: privacy-ratio draws all trials of database k (k = 0, 1) from one
+generator seeded with mix64(base_seed, k), and separation is deterministic
+and takes no seed. Statistical audits of proved guarantees must pass (up to
+documented Monte-Carlo slack); a failure indicates an implementation defect.
+The privacy-ratio audit is the one exception: finite samples cannot certify
+a density-ratio bound, so it is a smoke test with an explicit heuristic
+slack, never a proof.
 
 An audit of a release names its mechanism by the kernel, as a release names
 its feature map: `linear_kernel()` is the finite mechanism (phi(x) = x) and a
@@ -198,6 +201,12 @@ def default_grid_resolution(d: int) -> int:
     raise ValueError("choose a grid resolution explicitly for d > 4")
 
 
+def _trials(seed: int, trials: int, trial) -> list:
+    """trial(rng) for each of `trials` trials, trial t drawing from child_rng(seed, t)."""
+    at_least(1, trials=trials)
+    return [trial(child_rng(seed, t)) for t in range(trials)]
+
+
 def sensitivity_audit(
     trials: int, n: int, C: float, box: DomainBox, seed: int
 ) -> AuditReport:
@@ -211,12 +220,10 @@ def sensitivity_audit(
     the largest point norm in the box; the bound always holds, so any
     observed violation is an implementation defect.
     """
-    at_least(1, trials=trials)
     at_least(2, n=n)
     d = box.dim
-    worst = 0.0
-    for t in range(trials):
-        rng = child_rng(seed, t)
+
+    def trial(rng):
         points = rng.uniform(box.lower, box.upper, size=(n, d))
         labels = rng.integers(0, 2, size=n) * 2.0 - 1.0
         shift = int(rng.integers(0, n))
@@ -227,7 +234,9 @@ def sensitivity_audit(
         )
         diff = (noiseless_weights(db, linear_kernel(), C)
                 - noiseless_weights(neighbor, linear_kernel(), C))
-        worst = max(worst, float(np.abs(diff).sum()))
+        return float(np.abs(diff).sum())
+
+    worst = max(_trials(seed, trials, trial))
     kappa = box.max_l2_norm()
     bound = sensitivity_finite(C, kappa, d, n)
     return AuditReport(
@@ -289,7 +298,6 @@ def utility_audit(
                          " or a translation-invariant kernel with d_hat (rff mechanism)")
     positive(lam=lam, eps=eps)
     probability(delta=delta)
-    at_least(1, trials=trials)
     _require_box(box, db.dim)
     y = db.labels
 
@@ -311,6 +319,7 @@ def utility_audit(
             return max(float(box_sup), float(np.max(np.abs(vals - ref_train)))), vals
     else:
         mechanism = "rff"
+        at_least(1, d_hat=d_hat)
         eval_points = np.vstack([box.grid(grid_resolution), db.points])
         eval_count = eval_points.shape[0]
         ref_vals = decision_values(solve_svm_dual(db, kernel, C), eval_points)
@@ -328,14 +337,10 @@ def utility_audit(
             return float(np.max(np.abs(vals - ref_vals))), vals[-db.n:]
 
     ref_hinge = _mean_hinge(y * ref_train)
-    failures = 0
-    hinge_violation = 0.0
-    for t in range(trials):
-        sup, vals = released(child_rng(seed, t))
-        if sup > eps:
-            failures += 1
-        hinge_violation = max(hinge_violation, abs(_mean_hinge(y * vals) - ref_hinge) - sup)
-
+    results = _trials(seed, trials, released)
+    failures = sum(sup > eps for sup, _ in results)
+    hinge_violation = max(0.0, *(abs(_mean_hinge(y * vals) - ref_hinge) - sup
+                                 for sup, vals in results))
     statistic = failures / trials
     return AuditReport(
         name="utility",
@@ -378,20 +383,20 @@ def kernel_approx_audit(
     if not kernel.translation_invariant():
         raise UnsupportedKernelError("kernel approximation requires a translation-invariant kernel")
     positive(eps=eps)
-    at_least(1, trials=trials)
+    at_least(1, d_hat=d_hat)
     d = box.dim
     displacements = box.displacement_box()
     true_vals = _kernels.gram(kernel, displacements.grid(grid_resolution), np.zeros((1, d)))[:, 0]
     ones = np.ones(d_hat)
-    failures = 0
-    worst_sup = 0.0
-    for t in range(trials):
-        fmap = RandomFeatureMap.from_rng(kernel, d, d_hat, child_rng(seed, t))
+
+    def sup_error(rng):
+        fmap = RandomFeatureMap.from_rng(kernel, d, d_hat, rng)
         approx = grid_values(fmap, ones, displacements, grid_resolution) / d_hat
-        sup = float(np.max(np.abs(approx - true_vals)))
-        worst_sup = max(worst_sup, sup)
-        if sup >= eps:
-            failures += 1
+        return float(np.max(np.abs(approx - true_vals)))
+
+    sups = _trials(seed, trials, sup_error)
+    failures = sum(sup >= eps for sup in sups)
+    worst_sup = max(sups)
     statistic = failures / trials
     delta_inverted = approx_failure_bound(
         eps, d_hat, d, spectral_second_moment(kernel, d), box.diameter()
@@ -482,33 +487,18 @@ def privacy_ratio_audit(
         "qualifying_bins": int(qualifying.sum()),
         "smoke_test": True,
     }
-    if not np.any(qualifying):
-        return AuditReport(
-            name="privacy_ratio",
-            trials=trials,
-            statistic=math.nan,
-            bound=beta,
-            passed=False,
-            seed=seed,
-            details={**details, "reason": "no bin holds 20 samples from both sides"},
-        )
-    ratios = np.abs(
-        np.log(counts1[qualifying].astype(float) / counts2[qualifying].astype(float))
-    )
-    statistic = float(np.max(ratios))
-    min_count = int(
-        min(counts1[qualifying].min(), counts2[qualifying].min())
-    )
-    slack = 3.0 * math.sqrt(2.0 / min_count)
-    return AuditReport(
-        name="privacy_ratio",
-        trials=trials,
-        statistic=statistic,
-        bound=beta,
-        passed=statistic <= beta + slack,
-        seed=seed,
-        details={**details, "slack": slack, "min_bin_count": min_count},
-    )
+    if np.any(qualifying):
+        q1, q2 = counts1[qualifying], counts2[qualifying]
+        statistic = float(np.max(np.abs(np.log(q1.astype(float) / q2.astype(float)))))
+        min_count = int(min(q1.min(), q2.min()))
+        slack = 3.0 * math.sqrt(2.0 / min_count)
+        passed = statistic <= beta + slack
+        outcome = {"slack": slack, "min_bin_count": min_count}
+    else:
+        statistic, passed = math.nan, False
+        outcome = {"reason": "no bin holds 20 samples from both sides"}
+    return AuditReport(name="privacy_ratio", trials=trials, statistic=statistic, bound=beta,
+                       passed=passed, seed=seed, details={**details, **outcome})
 
 
 def packing_separation_audit(C: float, n: int, sigma: float) -> AuditReport:

@@ -13,7 +13,8 @@ Release noise comes from np.random.default_rng(), seeded from the operating
 system's entropy, which nobody else can reproduce; a release file therefore
 cannot be reproduced. private-train-rff's required --seed seeds only the
 public feature map it writes. Every audit but separation requires --seed,
-and its reports are reproducible.
+and its reports are reproducible. Each audit reads only the flags its row of
+_AUDITS names; any other flag given to it is a usage error.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ def _claimed_from_args(args) -> dict:
 
 
 def _box_from_args(args, dim: int) -> DomainBox:
+    """[--box-min, --box-max]^d, with d from --dim where given, else `dim`."""
+    dim = dim if getattr(args, "dim", None) is None else args.dim
     # a list, not np.full: a dim below 1 gives an empty box, which DomainBox names
     return DomainBox([args.box_min] * dim, [args.box_max] * dim)
 
@@ -145,59 +148,84 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _validate_audit_args(args) -> None:
-    if args.name != "separation" and args.seed is None:
-        raise _UsageError(f"audit --name {args.name} is randomized and requires --seed")
-    needs = {
-        "utility": ("data", "lam", "eps", "delta"),
-        "kernel-approx": ("d_hat", "eps"),
-        "privacy-ratio": ("data", "data2", "lam", "beta"),
-        "separation": ("sigma",),
-    }.get(args.name, ())
-    if args.name == "utility" and args.mechanism == "rff":
-        needs += ("d_hat",)
-    flag_names = {"lam": "--lambda", "d_hat": "--d-hat"}
-    for field in needs:
-        if getattr(args, field) is None:
-            flag = flag_names.get(field, "--" + field)
-            raise _UsageError(f"audit --name {args.name} requires {flag}")
+def _run_utility_finite(args):
+    db = load_csv(args.data, has_header=args.header)
+    return audit_mod.utility_audit(db, linear_kernel(), args.c, args.lam, args.eps, args.delta,
+                                   args.trials, None, args.seed, _box_from_args(args, db.dim))
+
+
+def _run_utility_rff(args):
+    db = load_csv(args.data, has_header=args.header)
+    return audit_mod.utility_audit(
+        db, _kernel_from_args(args), args.c, args.lam, args.eps, args.delta, args.trials,
+        _grid_from_args(args, db.dim), args.seed, _box_from_args(args, db.dim), d_hat=args.d_hat,
+    )
+
+
+def _run_kernel_approx(args):
+    kernel, box = _kernel_from_args(args), _box_from_args(args, 2)
+    return audit_mod.kernel_approx_audit(kernel, args.d_hat, box, args.eps, args.trials,
+                                         _grid_from_args(args, box.dim), args.seed)
+
+
+def _run_privacy_ratio(args):
+    db1, db2 = (load_csv(path, has_header=args.header) for path in (args.data, args.data2))
+    # the audit refuses a box whose --dim is not the data's
+    return audit_mod.privacy_ratio_audit(db1, db2, args.c, args.lam, args.beta, args.trials,
+                                         args.bins, args.coord, args.seed,
+                                         _box_from_args(args, db1.dim))
+
+
+# (runner, required flags, optional flags) of each `audit --name`, utility's
+# also by --mechanism; the first mechanism listed for a name is its default.
+_BOX = ("box_min", "box_max")
+_AUDITS = {
+    ("sensitivity", None): (
+        lambda a: audit_mod.sensitivity_audit(a.trials, a.n, a.c, _box_from_args(a, 2), a.seed),
+        ("seed",), ("trials", "n", "c", "dim", *_BOX)),
+    ("utility", "finite"): (_run_utility_finite, ("seed", "data", "lam", "eps", "delta"),
+                            ("trials", "header", "c", *_BOX)),
+    ("utility", "rff"): (_run_utility_rff, ("seed", "data", "lam", "eps", "delta", "d_hat"),
+                         ("trials", "header", "c", "kernel", "sigma", "grid", *_BOX)),
+    ("kernel-approx", None): (_run_kernel_approx, ("seed", "d_hat", "eps"),
+                              ("trials", "kernel", "sigma", "dim", "grid", *_BOX)),
+    ("privacy-ratio", None): (_run_privacy_ratio, ("seed", "data", "data2", "lam", "beta"),
+                              ("trials", "header", "c", "bins", "coord", "dim", *_BOX)),
+    ("separation", None): (lambda a: audit_mod.packing_separation_audit(a.c, a.n, a.sigma),
+                           ("sigma",), ("c", "n")),
+}
+# Optional flags' defaults; None: --dim the data's (else 2), --grid default_grid_resolution
+_AUDIT_DEFAULTS = {"trials": 100, "header": False, "c": 1.0, "n": 20, "dim": None,
+                   "box_min": -1.0, "box_max": 1.0, "kernel": "rbf", "sigma": None,
+                   "bins": 40, "coord": 0, "grid": None}
+
+
+def _flag(field: str) -> str:
+    return "--lambda" if field == "lam" else "--" + field.replace("_", "-")
+
+
+def _checked_audit(args):
+    """The runner of the audit args name, after the usage checks and with defaults set."""
+    mechanisms = [m for name, m in _AUDITS if name == args.name]
+    row = _AUDITS.get((args.name, getattr(args, "mechanism", mechanisms[0])))
+    if row is None:
+        raise _UsageError(f"audit --name {args.name} does not read --mechanism")
+    run, required, optional = row
+    given = [f for f in vars(args) if f not in ("command", "func", "name", "mechanism")]
+    unread = [f for f in given if f not in required + optional]
+    if unread:
+        raise _UsageError(f"audit --name {args.name} does not read {_flag(unread[0])}")
+    for field in required:
+        if field not in given:
+            needs = "is randomized and requires" if field == "seed" else "requires"
+            raise _UsageError(f"audit --name {args.name} {needs} {_flag(field)}")
+    for field in optional:
+        vars(args).setdefault(field, _AUDIT_DEFAULTS[field])
+    return run
 
 
 def _cmd_audit(args) -> int:
-    _validate_audit_args(args)
-    name = args.name
-    if name == "sensitivity":
-        box = _box_from_args(args, args.dim)
-        report = audit_mod.sensitivity_audit(args.trials, args.n, args.c, box, args.seed)
-    elif name == "utility":
-        db = load_csv(args.data, has_header=args.header)
-        # --kernel defaults to rbf, so the finite mechanism must not read it
-        if args.mechanism == "rff":
-            kernel, d_hat = _kernel_from_args(args), args.d_hat
-            grid = _grid_from_args(args, db.dim)
-        else:
-            kernel, d_hat, grid = linear_kernel(), None, None
-        report = audit_mod.utility_audit(
-            db, kernel, args.c, args.lam, args.eps, args.delta, args.trials, grid,
-            args.seed, _box_from_args(args, db.dim), d_hat=d_hat,
-        )
-    elif name == "kernel-approx":
-        kernel = _kernel_from_args(args)
-        box = _box_from_args(args, args.dim)
-        grid = _grid_from_args(args, args.dim)
-        report = audit_mod.kernel_approx_audit(
-            kernel, args.d_hat, box, args.eps, args.trials, grid, args.seed
-        )
-    elif name == "privacy-ratio":
-        db1 = load_csv(args.data, has_header=args.header)
-        db2 = load_csv(args.data2, has_header=args.header)
-        report = audit_mod.privacy_ratio_audit(
-            db1, db2, args.c, args.lam, args.beta, args.trials, args.bins, args.coord,
-            args.seed, _box_from_args(args, db1.dim),
-        )
-    else:  # separation
-        report = audit_mod.packing_separation_audit(args.c, args.n, args.sigma)
-    print(model_io.dumps(report.to_doc()))
+    print(model_io.dumps(_checked_audit(args)(args).to_doc()))
     return 0
 
 
@@ -211,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_kernel_flags(p, default=None):
         p.add_argument("--kernel", choices=_KERNEL_CHOICES, default=default,
                        required=default is None)
-        p.add_argument("--sigma", type=float, default=None,
-                       help="rbf bandwidth (rbf kernel only)")
+        p.add_argument("--sigma", type=float, help="rbf bandwidth (rbf kernel only)")
 
     def add_box_flags(p):
         p.add_argument("--box-min", type=float, default=-1.0)
@@ -263,29 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_box_flags(p)
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("audit", help="run a seeded audit and print its report")
-    p.add_argument("--name", required=True,
-                   choices=("sensitivity", "utility", "kernel-approx",
-                            "privacy-ratio", "separation"))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--data", default=None)
-    p.add_argument("--data2", default=None)
+    # no defaults here: _checked_audit tells a given flag from an absent one
+    p = sub.add_parser("audit", help="run a seeded audit and print its report",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--name", required=True, choices=list(dict.fromkeys(n for n, _ in _AUDITS)))
+    p.add_argument("--mechanism", choices=[m for _, m in _AUDITS if m])
+    for flag in ("--seed", "--trials", "--n", "--dim", "--d-hat", "--bins", "--coord", "--grid"):
+        p.add_argument(flag, type=int)
+    for flag in ("--c", "--eps", "--delta", "--beta", "--box-min", "--box-max"):
+        p.add_argument(flag, type=float)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--data")
+    p.add_argument("--data2")
     p.add_argument("--header", action="store_true")
-    p.add_argument("--mechanism", choices=("finite", "rff"), default="finite")
-    add_kernel_flags(p, "rbf")
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--d-hat", type=int, default=None)
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--dim", type=int, default=2)
-    add_box_flags(p)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--bins", type=int, default=40)
-    p.add_argument("--coord", type=int, default=0)
-    p.add_argument("--grid", type=int, default=None)
+    add_kernel_flags(p, argparse.SUPPRESS)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("predict", help="decision values and signs for data rows")

@@ -48,6 +48,8 @@ def erlang_tail_probability(q: int, scale: float, threshold: float) -> float:
     x = threshold / scale
     if x == 0.0:
         return 1.0
+    if math.isinf(x):
+        return 0.0  # exp(-inf + 0 * inf) would be NaN
     log_x = math.log(x)
     terms = [math.exp(-x + j * log_x - math.lgamma(j + 1)) for j in range(int(q))]
     return min(1.0, math.fsum(terms))

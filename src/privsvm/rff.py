@@ -148,6 +148,8 @@ def approx_failure_bound(eps: float, d_hat: int, d: int, sigma_p2: float, diam: 
     """Bound 2^8 (sigma_p diam / eps)^2 exp(-d_hat eps^2 / (4 (d+2))) on
     P(sup |approx - true kernel| >= eps), with sigma_p2 = sigma_p^2 the spectral
     second moment (infinite if it diverges); `calibrate_rff_dim` inverts it."""
+    positive(eps=eps, diam=diam)
+    at_least(1, d_hat=d_hat, d=d)
     if not math.isfinite(sigma_p2):
         return math.inf
     return 2.0**8 * sigma_p2 * diam**2 / eps**2 * math.exp(-d_hat * eps**2 / (4.0 * (d + 2)))

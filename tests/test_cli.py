@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from privsvm import cli
 from privsvm.cli import build_parser, main
 from privsvm.mechanisms import (
     calibrate_noise_privacy_finite,
@@ -143,10 +144,13 @@ def test_non_finite_c_or_lambda_is_an_error_line(capsys, data_file, tmp_path, ar
       "--c", "nan", "--n", "100", "--dim", "2"], "C"),
     (["train", "--kernel", "linear", "--c", "1.0", "--tol", "nan", "--out", "OUT",
       "--data", "DATA"], "tol"),
-], ids=["calibrate-c-nan", "train-tol-nan"])
+    (["audit", "--name", "kernel-approx", "--seed", "1", "--sigma", "1.0", "--d-hat", "0",
+      "--eps", "0.5"], "d_hat"),
+], ids=["calibrate-c-nan", "train-tol-nan", "kernel-approx-d-hat-0"])
 def test_nan_parameter_is_an_error_line(capsys, data_file, tmp_path, argv, name):
     # NaN passes a check written as x <= 0: calibrate printed "nan" and
-    # exited 0, and train swept until its sweep limit
+    # exited 0, and train swept until its sweep limit. kernel-approx's
+    # d_hat = 0 was reported under the feature sampler's name, count
     out_path = tmp_path / "m.json"
     argv = [{"OUT": str(out_path), "DATA": data_file}.get(a, a) for a in argv]
     code, out, err = run(capsys, argv)
@@ -597,7 +601,7 @@ def test_audit_utility_via_cli(capsys, tmp_path):
     code, out, _ = run(capsys, [
         "audit", "--name", "utility", "--seed", "4", "--trials", "20",
         "--data", str(data), "--c", "1.0", "--lambda", "0.01",
-        "--eps", "0.5", "--delta", "0.2", "--grid", "11",
+        "--eps", "0.5", "--delta", "0.2",
     ])
     assert code == 0
     doc = json.loads(out)
@@ -631,14 +635,76 @@ def test_missing_data_file_is_reported_by_name(capsys, data_file, tmp_path, argv
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["--name", "sensitivity", "--seed", "1", "--trials", "3", "--n", "6", "--dim", "5"],
-    ["--name", "separation", "--c", "1.0", "--n", "8", "--sigma", "0.3", "--dim", "6"],
+@pytest.mark.parametrize("argv, code", [
+    (["--name", "sensitivity", "--seed", "1", "--trials", "3", "--n", "6", "--dim", "5"], 0),
+    (["--name", "separation", "--c", "1.0", "--n", "8", "--sigma", "0.3", "--dim", "6"], 2),
 ], ids=["sensitivity", "separation"])
-def test_audit_without_grid_ignores_dim(capsys, argv):
-    code, out, _ = run(capsys, ["audit", *argv])
+def test_audit_without_grid_ignores_dim(capsys, argv, code):
+    # sensitivity grids nothing, so any --dim works; separation's packing is
+    # 2-D by construction and it reads no --dim, so passing one is refused
+    got, out, err = run(capsys, ["audit", *argv])
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["audit"]["pass"] is True
+    else:
+        assert out == "" and err == "error: audit --name separation does not read --dim\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sensitivity", "--mechanism", "rff", "--kernel", "laplacian", "--d-hat", "50",
+      "--bins", "3", "--seed", "1"], "--mechanism"),
+    (["sensitivity", "--seed", "1", "--grid", "11"], "--grid"),
+    (["utility", "--seed", "1", "--data", "DATA", "--lambda", "0.1", "--eps", "0.5",
+      "--delta", "0.1", "--kernel", "laplacian"], "--kernel"),
+    (["utility", "--mechanism", "rff", "--sigma", "1.0", "--d-hat", "4", "--seed", "1",
+      "--data", "DATA", "--lambda", "0.1", "--eps", "0.5", "--delta", "0.1", "--bins", "3"],
+     "--bins"),
+    (["kernel-approx", "--seed", "1", "--sigma", "1.0", "--d-hat", "4", "--eps", "0.5",
+      "--data", "DATA"], "--data"),
+    (["privacy-ratio", "--seed", "1", "--data", "DATA", "--data2", "DATA", "--lambda", "0.1",
+      "--beta", "1", "--grid", "5"], "--grid"),
+    (["separation", "--c", "1.0", "--n", "8", "--sigma", "0.3", "--seed", "5", "--trials", "9",
+      "--data", "nope.csv"], "--seed"),
+], ids=["sensitivity-mechanism", "sensitivity", "utility", "utility-rff", "kernel-approx",
+        "privacy-ratio", "separation"])
+def test_audit_refuses_a_flag_it_does_not_read(capsys, data_file, argv, flag):
+    # each of these used to exit 0 and ignore the flag without a word
+    argv = [data_file if a == "DATA" else a for a in argv]
+    code, out, err = run(capsys, ["audit", "--name", *argv])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: audit --name {argv[0]} does not read {flag}\n"
+
+
+def test_audit_privacy_ratio_dim_defaults_to_and_must_match_the_data(capsys, tmp_path):
+    # 3-D data: a 2-D pair would agree with the other audits' default --dim of 2
+    rows = [f"{x!r},{y!r},{z!r},{l:+d}\n" for (x, y, z), l in
+            zip(np.random.default_rng(4).uniform(-1, 1, (6, 3)).tolist(), (1, -1) * 3)]
+    (tmp_path / "p1.csv").write_text("".join(rows))
+    (tmp_path / "p2.csv").write_text("".join(rows[:-1]) + "0.5,0.5,0.5,+1\n")
+    argv = ["audit", "--name", "privacy-ratio", "--seed", "3", "--trials", "200",
+            "--data", str(tmp_path / "p1.csv"), "--data2", str(tmp_path / "p2.csv"),
+            "--lambda", "1.0", "--beta", "1.0", "--bins", "4"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["audit"]["name"] == "privacy_ratio"
+    code, out, err = run(capsys, [*argv, "--dim", "3"])
     assert code == 0
-    assert json.loads(out)["audit"]["pass"] is True
+    code, out, err = run(capsys, [*argv, "--dim", "2"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "dimension" in err
+
+
+def test_audit_table_matches_the_audit_parser():
+    # every flag a row names exists, every audit flag is read by some row,
+    # and every optional flag has its one default
+    parser = build_parser()
+    audit_parser = parser._subparsers._group_actions[0].choices["audit"]
+    dests = {a.dest for a in audit_parser._actions} - {"help"}
+    named = {f for _, required, optional in cli._AUDITS.values() for f in required + optional}
+    optional = {f for _, _, opt in cli._AUDITS.values() for f in opt}
+    assert named <= dests
+    assert dests - {"name", "mechanism"} <= named
+    assert optional == cli._AUDIT_DEFAULTS.keys()
 
 
 def test_audit_default_grid_follows_gridded_dimension(capsys, tmp_path):
@@ -719,7 +785,8 @@ def test_audit_privacy_ratio_kappa_from_box(capsys, tmp_path):
 
 
 def test_readme_cli_lines_parse():
-    # every privsvm command in README's sh blocks is accepted by the parser
+    # every privsvm command in README's sh blocks is accepted by the parser,
+    # and every audit line by its audit's flag table
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.DOTALL)
     commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
@@ -727,7 +794,23 @@ def test_readme_cli_lines_parse():
     assert len(commands) >= 10
     parser = build_parser()
     for line in commands:
-        parser.parse_args(shlex.split(line, comments=True)[1:])
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        if args.command == "audit":
+            cli._checked_audit(args)  # a flag the audit does not read is a usage error
+
+
+def test_readme_audit_flag_table_matches_the_audits():
+    # README's per-audit flag table says what _AUDITS says, row for row
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)(?: --mechanism (\w+))?` \| (.*) \| (.*) \|$", readme,
+                      re.MULTILINE)
+    listed = {}
+    for name, mechanism, required, optional in rows:
+        default = next(m for n, m in cli._AUDITS if n == name)
+        listed[(name, mechanism or default)] = (required.replace("`", "").split(),
+                                                optional.replace("`", "").split())
+    assert listed == {key: ([cli._flag(f) for f in required], [cli._flag(f) for f in optional])
+                      for key, (_, required, optional) in cli._AUDITS.items()}
 
 
 def test_audit_utility_rff_requires_d_hat(capsys, data_file):

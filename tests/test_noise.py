@@ -93,6 +93,12 @@ def test_erlang_tail_monotonicity():
         assert all(a <= b for a, b in zip(by_scale, by_scale[1:]))
 
 
+def test_erlang_tail_at_infinity_is_zero():
+    # exp(-inf + 0 * inf) is NaN, and min(1.0, nan) used to return 1.0
+    for q in (1, 3):
+        assert erlang_tail_probability(q, 2.0, math.inf) == 0.0
+
+
 def test_erlang_tail_domain():
     with pytest.raises(ValueError):
         erlang_tail_probability(0, 1.0, 1.0)

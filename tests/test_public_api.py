@@ -75,14 +75,27 @@ def _unit_box(d):
                                          10, 2, 0, 1, _unit_box(2)), "lam"),
     (lambda: privsvm.utility_audit(_two_points(), privsvm.linear_kernel(), 1.0, math.nan, 0.5,
                                    0.1, 2, None, 1, _unit_box(2)), "lam"),
+    (lambda: privsvm.utility_audit(_two_points(), privsvm.rbf_kernel(1.0), 1.0, 0.1, 0.5,
+                                   0.1, 2, 5, 1, _unit_box(2), d_hat=math.nan), "d_hat"),
+    (lambda: privsvm.kernel_approx_audit(privsvm.rbf_kernel(1.0), 0, _unit_box(1), 0.5,
+                                         2, 5, 1), "d_hat"),
+    (lambda: privsvm.approx_failure_bound(math.nan, 10, 1, 1.0, 2.0), "eps"),
+    (lambda: privsvm.approx_failure_bound(0.0, 10, 1, 1.0, 2.0), "eps"),
+    (lambda: privsvm.approx_failure_bound(0.5, 10, 1, 1.0, math.nan), "diam"),
+    (lambda: privsvm.approx_failure_bound(0.5, -math.inf, 1, 1.0, 2.0), "d_hat"),
+    (lambda: privsvm.approx_failure_bound(0.5, 10, math.nan, 1.0, 2.0), "d"),
 ], ids=["sensitivity-C", "sensitivity-n", "sensitivity-rff-n", "privacy-beta", "solver-tol",
         "solver-max-sweeps", "sensitivity-audit-trials", "laplace-scale", "laplace-count",
         "erlang-scale", "erlang-threshold", "rff-dim-eps", "rff-dim-diam", "rff-dim-d",
         "linear-pair-C", "packing-C", "packing-n", "kernel-approx-eps", "privacy-ratio-beta",
-        "privacy-ratio-lam", "utility-lam"])
+        "privacy-ratio-lam", "utility-lam", "utility-rff-d-hat", "kernel-approx-d-hat-0",
+        "failure-bound-eps", "failure-bound-eps-0", "failure-bound-diam",
+        "failure-bound-d-hat-minus-inf", "failure-bound-d"])
 def test_nan_parameter_is_rejected(call, name):
     # NaN passes every check written as x <= 0; each entry point must refuse
-    # it up front, not run on (the solver used to sweep to its limit)
+    # it up front, not run on (the solver used to sweep to its limit). A few
+    # cases are other out-of-range values: approx_failure_bound divided by
+    # eps = 0 and returned inf for d_hat = -inf
     with pytest.raises(ValueError, match=f"^{name} "):
         call()
 
