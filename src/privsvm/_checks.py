@@ -33,6 +33,20 @@ def at_least(minimum, **values) -> None:
             raise ValueError(f"{name} must be at least {minimum}")
 
 
+def exceeds(minimum, **values) -> None:
+    """Each value is > minimum; +inf passes, as a moment that diverges does."""
+    for name, v in values.items():
+        if not v > minimum:
+            raise ValueError(f"{name} must exceed {minimum}")
+
+
+def count(minimum, **values) -> None:
+    """Each value is a count: finite, a whole number, and >= minimum."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and float(v).is_integer() and v >= minimum):
+            raise ValueError(f"{name} must be a whole number of at least {minimum}")
+
+
 def as_points(X, dim: int) -> np.ndarray:
     """X as an (m, dim) float array; ValueError for any other shape."""
     X = np.asarray(X, dtype=np.float64)

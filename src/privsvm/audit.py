@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels as _kernels
 from . import mechanisms as _mechanisms
-from ._checks import at_least, positive, probability
+from ._checks import count, positive, probability
 from .data import Database, DomainBox, neighbor_replace_last
 from .kernels import (
     KernelSpec,
@@ -129,7 +129,7 @@ def linear_separation_pair(C: float, n: int, eps: float) -> LowerBoundFamily:
     optimal weights are attached for regression checks.
     """
     positive(C=C)
-    at_least(2, n=n)
+    count(2, n=n)
     eps_cap = math.sqrt(C) / (2 * n)
     if not 0 < eps < eps_cap:
         raise ValueError(
@@ -173,7 +173,7 @@ def rbf_packing_family(C: float, n: int, sigma: float) -> LowerBoundFamily:
     C/n and adjacent classifiers stay C/(2n) apart.
     """
     positive(C=C)
-    at_least(2, n=n)
+    count(2, n=n)
     if not n > C:
         raise ValueError("n must exceed C")
     N = rbf_packing_size(sigma)
@@ -203,7 +203,7 @@ def default_grid_resolution(d: int) -> int:
 
 def _trials(seed: int, trials: int, trial) -> list:
     """trial(rng) for each of `trials` trials, trial t drawing from child_rng(seed, t)."""
-    at_least(1, trials=trials)
+    count(1, trials=trials)
     return [trial(child_rng(seed, t)) for t in range(trials)]
 
 
@@ -220,7 +220,7 @@ def sensitivity_audit(
     the largest point norm in the box; the bound always holds, so any
     observed violation is an implementation defect.
     """
-    at_least(2, n=n)
+    count(2, n=n)
     d = box.dim
 
     def trial(rng):
@@ -319,7 +319,7 @@ def utility_audit(
             return max(float(box_sup), float(np.max(np.abs(vals - ref_train)))), vals
     else:
         mechanism = "rff"
-        at_least(1, d_hat=d_hat)
+        count(1, d_hat=d_hat)
         eval_points = np.vstack([box.grid(grid_resolution), db.points])
         eval_count = eval_points.shape[0]
         ref_vals = decision_values(solve_svm_dual(db, kernel, C), eval_points)
@@ -383,7 +383,7 @@ def kernel_approx_audit(
     if not kernel.translation_invariant():
         raise UnsupportedKernelError("kernel approximation requires a translation-invariant kernel")
     positive(eps=eps)
-    at_least(1, d_hat=d_hat)
+    count(1, d_hat=d_hat)
     d = box.dim
     displacements = box.displacement_box()
     true_vals = _kernels.gram(kernel, displacements.grid(grid_resolution), np.zeros((1, d)))[:, 0]
@@ -455,8 +455,8 @@ def privacy_ratio_audit(
     """
     _require_neighbors(db1, db2)
     _require_box(box, db1.dim)
-    at_least(1, trials=trials)
-    at_least(2, bins=bins)
+    count(1, trials=trials)
+    count(2, bins=bins)
     if not 0 <= coordinate_index < db1.dim:
         raise ValueError("coordinate_index out of range")
     positive(lam=lam, beta=beta)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import at_least
+from ._checks import at_least, count
 
 __all__ = [
     "CsvError",
@@ -115,7 +115,7 @@ class DomainBox:
 
     def grid(self, resolution: int) -> np.ndarray:
         """Regular grid with `resolution` points per axis, shape (resolution^d, d)."""
-        at_least(2, **{"grid resolution": resolution})
+        count(2, **{"grid resolution": resolution})
         axes = [
             np.linspace(self.lower[i], self.upper[i], resolution)
             for i in range(self.dim)

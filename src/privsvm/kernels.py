@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import at_least
+from . import _checks
 from .noise import sample_laplace
 
 __all__ = [
@@ -155,7 +155,7 @@ def sample_spectral(k: KernelSpec, d: int, count: int, rng) -> np.ndarray:
     Cauchy via tan(pi (u - 1/2)); cauchy draws Laplace(0, 1) via the inverse
     CDF. Shape of the result is (count, d).
     """
-    at_least(1, d=d, count=count)
+    _checks.count(1, d=d, count=count)
     if k.family == RBF:
         return rng.standard_normal((count, d)) / k.sigma
     if k.family == LAPLACIAN:
@@ -169,7 +169,7 @@ def sample_spectral(k: KernelSpec, d: int, count: int, rng) -> np.ndarray:
 
 def spectral_second_moment(k: KernelSpec, d: int) -> float:
     """E[<w, w>] under the spectral density of k; inf when the moment diverges."""
-    at_least(1, d=d)
+    _checks.count(1, d=d)
     if k.family == RBF:
         return d / k.sigma**2
     if k.family == LAPLACIAN:

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from . import _checks
 from ._checks import at_least, positive
 
 __all__ = ["sample_laplace", "erlang_tail_probability"]
@@ -25,8 +26,8 @@ def sample_laplace(scale: float, count: int, rng) -> np.ndarray:
     the stream consumed when no redraw is needed, are unchanged.
     """
     positive(scale=scale)
-    at_least(1, count=count)
-    u = rng.random(count) - 0.5
+    _checks.count(1, count=count)
+    u = rng.random(int(count)) - 0.5
     edge = np.flatnonzero(u == -0.5)
     while edge.size:
         u[edge] = rng.random(edge.size) - 0.5
@@ -40,9 +41,7 @@ def erlang_tail_probability(q: int, scale: float, threshold: float) -> float:
     The upper tail is exp(-x/scale) * sum_{j=0}^{q-1} (x/scale)^j / j!,
     evaluated in log space for stability.
     """
-    at_least(1, q=q)
-    if not float(q).is_integer():
-        raise ValueError("q must be an integer")
+    _checks.count(1, q=q)
     positive(scale=scale)
     at_least(0, threshold=threshold)
     x = threshold / scale

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_points, at_least, positive, probability
+from ._checks import as_points, count, exceeds, positive, probability
 from .kernels import KernelSpec, sample_spectral
 
 __all__ = [
@@ -130,7 +130,7 @@ def grid_values(m: RandomFeatureMap, coeffs, box, resolution: int) -> np.ndarray
     multiplied out into a (resolution^(d-1), d_hat) array and the last axis is
     contracted against it in one complex matrix product.
     """
-    at_least(2, **{"grid resolution": resolution})
+    count(2, **{"grid resolution": resolution})
     if box.dim != m.dim:
         raise ValueError("box dimension must match the map dimension")
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -149,8 +149,9 @@ def approx_failure_bound(eps: float, d_hat: int, d: int, sigma_p2: float, diam: 
     P(sup |approx - true kernel| >= eps), with sigma_p2 = sigma_p^2 the spectral
     second moment (infinite if it diverges); `calibrate_rff_dim` inverts it."""
     positive(eps=eps, diam=diam)
-    at_least(1, d_hat=d_hat, d=d)
-    if not math.isfinite(sigma_p2):
+    count(1, d_hat=d_hat, d=d)
+    exceeds(0, sigma_p2=sigma_p2)
+    if math.isinf(sigma_p2):
         return math.inf
     return 2.0**8 * sigma_p2 * diam**2 / eps**2 * math.exp(-d_hat * eps**2 / (4.0 * (d + 2)))
 
@@ -165,8 +166,9 @@ def calibrate_rff_dim(eps: float, delta: float, d: int, sigma_p: float, diam: fl
     """
     positive(eps=eps, diam=diam)
     probability(delta=delta)
-    at_least(1, d=d)
-    if not math.isfinite(sigma_p) or sigma_p <= 0:
+    count(1, d=d)
+    exceeds(0, sigma_p=sigma_p)
+    if math.isinf(sigma_p):
         raise CalibrationError(
             "spectral second moment is not finite; choose d_hat manually"
         )

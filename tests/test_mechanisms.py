@@ -139,6 +139,33 @@ def test_private_rff_label_flip_negates_weights(monkeypatch):
     assert np.allclose(a.weights, -b.weights, atol=1e-12)
 
 
+def invariance_instances():
+    """Ten random databases (n 5-200, d 1-5) with C drawn from {0.1, 1, 10, 1000}."""
+    rng = np.random.default_rng(2016)
+    for _ in range(10):
+        n, d = int(rng.integers(5, 201)), int(rng.integers(1, 6))
+        db = Database(rng.uniform(-1, 1, (n, d)), rng.choice([-1.0, 1.0], n))
+        yield db, float(rng.choice([0.1, 1.0, 10.0, 1000.0]))
+
+
+def test_label_flip_negates_noiseless_weights_exactly():
+    # Q is unchanged when every label flips, so the solve takes the same
+    # steps on negated data and the weights come out negated bit for bit
+    for db, C in invariance_instances():
+        flipped = Database(db.points, -db.labels)
+        w = noiseless_weights(db, linear_kernel(), C)
+        assert np.array_equal(noiseless_weights(flipped, linear_kernel(), C), -w)
+
+
+def test_doubled_points_and_quartered_c_halve_noiseless_weights_exactly():
+    # every quantity of the solve scales by a power of two, so the weights
+    # halve bit for bit
+    for db, C in invariance_instances():
+        doubled = Database(2.0 * db.points, db.labels)
+        w = noiseless_weights(db, linear_kernel(), C)
+        assert np.array_equal(noiseless_weights(doubled, linear_kernel(), C / 4), w / 2)
+
+
 def test_private_rff_weight_norm_bounded(monkeypatch):
     # coefficients sum to at most C and features have unit norm, so the
     # noiseless weights can never exceed C in Euclidean norm

@@ -84,18 +84,47 @@ def _unit_box(d):
     (lambda: privsvm.approx_failure_bound(0.5, 10, 1, 1.0, math.nan), "diam"),
     (lambda: privsvm.approx_failure_bound(0.5, -math.inf, 1, 1.0, 2.0), "d_hat"),
     (lambda: privsvm.approx_failure_bound(0.5, 10, math.nan, 1.0, 2.0), "d"),
+    (lambda: privsvm.solve_svm_dual(_two_points(), privsvm.linear_kernel(), 1.0,
+                                    max_sweeps=math.inf), "max_sweeps"),
+    (lambda: privsvm.solve_svm_dual(_two_points(), privsvm.linear_kernel(), 1.0,
+                                    max_sweeps=2.5), "max_sweeps"),
+    (lambda: privsvm.sample_laplace(1.0, math.inf, np.random.default_rng(0)), "count"),
+    (lambda: privsvm.sample_laplace(1.0, 2.5, np.random.default_rng(0)), "count"),
+    (lambda: privsvm.erlang_tail_probability(2.5, 1.0, 1.0), "q"),
+    (lambda: privsvm.sensitivity_audit(math.inf, 10, 1.0, _unit_box(2), 1), "trials"),
+    (lambda: privsvm.sensitivity_audit(2, 10.5, 1.0, _unit_box(2), 1), "n"),
+    (lambda: privsvm.utility_audit(_two_points(), privsvm.rbf_kernel(1.0), 1.0, 0.1, 0.5,
+                                   0.1, 2, 5, 1, _unit_box(2), d_hat=math.inf), "d_hat"),
+    (lambda: privsvm.kernel_approx_audit(privsvm.rbf_kernel(1.0), 4.5, _unit_box(1), 0.5,
+                                         2, 5, 1), "d_hat"),
+    (lambda: privsvm.calibrate_rff_dim(0.5, 0.1, math.inf, 1.0, 2.0), "d"),
+    (lambda: privsvm.calibrate_rff_dim_hinge(0.5, 0.1, 1.0, 1.5, 1.0, 2.0), "d"),
+    (lambda: privsvm.calibration_report_rff(1.0, 0.5, 0.1, 1.0, 10, math.inf, 1.0, 2.0), "d"),
+    (lambda: privsvm.rbf_packing_family(1.0, math.inf, 0.3), "n"),
+    (lambda: privsvm.approx_failure_bound(0.5, 10, 1, -1.0, 2.0), "sigma_p2"),
+    (lambda: privsvm.approx_failure_bound(0.5, 10, 1, math.nan, 2.0), "sigma_p2"),
+    (lambda: privsvm.calibrate_rff_dim(0.5, 0.1, 1, 0.0, 2.0), "sigma_p"),
+    (lambda: privsvm.calibrate_rff_dim(0.5, 0.1, 1, -1.0, 2.0), "sigma_p"),
 ], ids=["sensitivity-C", "sensitivity-n", "sensitivity-rff-n", "privacy-beta", "solver-tol",
         "solver-max-sweeps", "sensitivity-audit-trials", "laplace-scale", "laplace-count",
         "erlang-scale", "erlang-threshold", "rff-dim-eps", "rff-dim-diam", "rff-dim-d",
         "linear-pair-C", "packing-C", "packing-n", "kernel-approx-eps", "privacy-ratio-beta",
         "privacy-ratio-lam", "utility-lam", "utility-rff-d-hat", "kernel-approx-d-hat-0",
         "failure-bound-eps", "failure-bound-eps-0", "failure-bound-diam",
-        "failure-bound-d-hat-minus-inf", "failure-bound-d"])
+        "failure-bound-d-hat-minus-inf", "failure-bound-d", "solver-max-sweeps-inf",
+        "solver-max-sweeps-fractional", "laplace-count-inf", "laplace-count-fractional",
+        "erlang-q-fractional", "sensitivity-audit-trials-inf", "sensitivity-audit-n-fractional",
+        "utility-rff-d-hat-inf", "kernel-approx-d-hat-fractional", "rff-dim-d-inf",
+        "rff-dim-hinge-d-fractional", "report-rff-d-inf", "packing-n-inf",
+        "failure-bound-moment-negative", "failure-bound-moment-nan", "rff-dim-sigma-p-0",
+        "rff-dim-sigma-p-negative"])
 def test_nan_parameter_is_rejected(call, name):
     # NaN passes every check written as x <= 0; each entry point must refuse
     # it up front, not run on (the solver used to sweep to its limit). A few
     # cases are other out-of-range values: approx_failure_bound divided by
-    # eps = 0 and returned inf for d_hat = -inf
+    # eps = 0, returned inf for d_hat = -inf and a negative bound for a
+    # negative moment; an infinite or fractional count was a TypeError that
+    # named no parameter
     with pytest.raises(ValueError, match=f"^{name} "):
         call()
 
@@ -103,7 +132,8 @@ def test_nan_parameter_is_rejected(call, name):
 def test_each_parameter_rule_is_written_once():
     # every entry point calls privsvm._checks instead of restating a rule,
     # so no copy can drift from its NaN-safe definition
-    texts = ("must be finite and positive", "must lie in (0, 1)", "must be at least")
+    texts = ("must be finite and positive", "must lie in (0, 1)", "must be at least",
+             "must exceed {minimum}", "must be a whole number")
     sources = sorted(Path(privsvm.__file__).parent.glob("*.py"))
     where = {t: [p.name for p in sources if t in p.read_text()] for t in texts}
     assert where == {t: ["_checks.py"] for t in texts}

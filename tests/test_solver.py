@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from privsvm import kernels
 from privsvm.audit import child_rng
-from privsvm.data import Database
+from privsvm.data import Database, neighbor_replace_last
 from privsvm.kernels import (
     cauchy_kernel, gram, laplacian_kernel, linear_kernel, rbf_kernel,
 )
-from privsvm.mechanisms import PrivateModel
+from privsvm.mechanisms import PrivateModel, train_private_rff
 from privsvm.rff import RandomFeatureMap, feature_matrix
 from privsvm.solver import (
     _DEGENERATE_DIAG,
@@ -251,17 +252,31 @@ def test_oracle_equivalence_small_instances():
         assert model.objective >= brute_force_dual_max(db, kernel, C) - 1e-4
 
 
-@pytest.mark.parametrize("kernel", [
-    linear_kernel(), rbf_kernel(0.7), laplacian_kernel(), cauchy_kernel(),
-    RandomFeatureMap.from_rng(rbf_kernel(1.0), 3, 40, np.random.default_rng(5)),
-], ids=["linear", "rbf", "laplacian", "cauchy", "rff"])
+@pytest.mark.parametrize("kernel, layout", [
+    (linear_kernel(), "uniform"), (linear_kernel(), "duplicated"), (linear_kernel(), "lattice"),
+    (rbf_kernel(0.7), "uniform"), (laplacian_kernel(), "uniform"), (cauchy_kernel(), "uniform"),
+    (RandomFeatureMap.from_rng(rbf_kernel(1.0), 3, 40, np.random.default_rng(5)), "uniform"),
+], ids=["linear", "linear-duplicated", "linear-wide-face", "rbf", "laplacian", "cauchy", "rff"])
 @pytest.mark.parametrize("C", [1.0, 100.0, 1000.0])
-def test_active_set_matches_full_cycle_reference(kernel, C):
+def test_active_set_matches_full_cycle_reference(kernel, layout, C):
+    # besides uniform points, two inputs whose linear faces are singular: every
+    # entry twice, and half-integer lattice points, where more coefficients
+    # end free than there are dimensions
     rng = np.random.default_rng(int(C))
-    points = rng.uniform(-1, 1, (40, 3))
-    labels = rng.choice([-1.0, 1.0], 40)
+    if layout == "duplicated":
+        points = np.tile(rng.uniform(-1, 1, (20, 3)), (2, 1))
+        labels = np.tile(rng.choice([-1.0, 1.0], 20), 2)
+    else:
+        if layout == "uniform":
+            points = rng.uniform(-1, 1, (40, 3))
+        else:
+            points = rng.integers(-2, 3, (40, 3)) / 2.0
+        labels = rng.choice([-1.0, 1.0], 40)
     kernel, phi = on_features(kernel, points)
-    assert_matches_reference(Database(phi, labels), kernel, C)
+    model = assert_matches_reference(Database(phi, labels), kernel, C)
+    free = np.count_nonzero((model.alphas > 0.0) & (model.alphas < C / 40))
+    if layout != "uniform" and C > 1.0:
+        assert free > 3
 
 
 def test_monotone_objective_trace():
@@ -366,6 +381,44 @@ def test_face_step_survives_cycling_and_singular_faces():
     assert free.tolist() == [0, 2, 6, 8]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(independent_q(db, linear_kernel())[np.ix_(free, free)], np.ones(4))
+
+
+def test_sensitivity_trial_64_pins_its_weights():
+    # trial 64 of sensitivity_audit(200, 50, 10.0, [-1, 1]^2, seed=3) crawls
+    # at a constant residual: its pair takes 3562 and 2803 sweeps. The weights
+    # were recorded from the Q-matrix loop that solved the linear kernel
+    # before it moved to weight space
+    rng = child_rng(3, 64)
+    points = rng.uniform(-1, 1, (50, 2))
+    labels = rng.integers(0, 2, size=50) * 2.0 - 1.0
+    shift = int(rng.integers(0, 50))
+    db = Database(np.roll(points, shift, axis=0), np.roll(labels, shift))
+    neighbor = neighbor_replace_last(db, rng.uniform(-1, 1, size=2), rng.integers(0, 2) * 2 - 1)
+    recorded = ([-0.0795159872415859, 1.1512847092205991],
+                [-0.07951598724158639, 1.1512847092205996])
+    for data, w in zip((db, neighbor), recorded):
+        model = solve_svm_dual(data, linear_kernel(), 10.0, max_sweeps=4000)
+        assert np.allclose(primal_weights(model), w, rtol=0, atol=1e-12)
+
+
+def test_linear_solves_never_form_the_gram(monkeypatch):
+    # the linear kernel is solved in weight space, so neither a linear solve
+    # nor a random-feature release asks for an n x n Gram
+    exact_gram = kernels.gram
+
+    def refuse_linear(k, A, B=None):
+        if k == linear_kernel():
+            raise AssertionError("a linear Gram was formed")
+        return exact_gram(k, A, B)
+
+    monkeypatch.setattr(kernels, "gram", refuse_linear)
+    rng = np.random.default_rng(12)
+    db = Database(rng.uniform(-1, 1, (30, 2)), rng.choice([-1.0, 1.0], 30))
+    assert solve_svm_dual(db, linear_kernel(), 10.0).residual <= 1e-8
+    fmap = RandomFeatureMap.from_rng(rbf_kernel(1.0), 2, 16, np.random.default_rng(4))
+    release = train_private_rff(db, fmap, 1.0, 0.1, np.random.default_rng(0))
+    assert release.weights.shape == (32,)
+    assert solve_svm_dual(db, rbf_kernel(1.0), 10.0).residual <= 1e-8  # still exact
 
 
 def test_kkt_residual_matches_mask_definition():
